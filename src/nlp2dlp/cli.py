@@ -6,7 +6,7 @@ answer sets), ``check`` (faithfulness / strong faithfulness / modularity
 CSV) and ``gen`` (seeded program generation).
 
 Exit status: 0 success, 1 check mismatch, 2 parse or flag errors,
-3 resource (cap or guard) errors.
+3 resource errors (cap, guard, or input nested too deeply).
 """
 
 from __future__ import annotations
@@ -71,13 +71,7 @@ def _sorted_interps(interps) -> list[Interpretation]:
 
 def _cmd_translate(args: argparse.Namespace) -> int:
     program = _read_program(args.input, allow_internal=False)
-    if args.mode == "structural" or args.mode == "polarity":
-        from .translate import translate_polarity_variant, translate_structural
-        fn = translate_structural if args.mode == "structural" \
-            else translate_polarity_variant
-        translated, report = fn(program, simplify=args.simplify)
-    else:
-        translated, report = translate_mode(program, args.mode)
+    translated, report = translate_mode(program, args.mode, args.simplify)
     _write_text(args.output, print_dlv(translated))
     for key, value in report.as_dict().items():
         print(f"{key}={value}", file=sys.stderr)
@@ -232,6 +226,10 @@ def main(argv: list[str] | None = None) -> int:
         return 2
     except ResourceLimitError as exc:
         print(f"resource error: {exc}", file=sys.stderr)
+        return 3
+    except RecursionError as exc:
+        print(f"resource error: input nested too deeply ({exc})",
+              file=sys.stderr)
         return 3
     except (NotDisjunctiveError, StageInputError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

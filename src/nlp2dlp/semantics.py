@@ -2,9 +2,11 @@
 here-and-there (HT) valuation, HT-models and equilibrium models.
 
 Everything works by explicit enumeration over a caller-supplied alphabet
-and is intended as a desk-scale oracle, not a solver.  Classical model
-enumeration is bit-parallel: the truth of an expression over all 2^n
-interpretations is a single big integer, one bit per interpretation.
+and is intended as a desk-scale oracle, not a solver.  Both engines are
+bit-parallel: classical truth over all 2^n interpretations is one big
+integer, and HT truth is a pair of them, the truth at H and at T, with
+one bit per subset H of a there-world T.  Answer sets come from reducts,
+equilibrium models from the HT engine alone, so each checks the other.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from typing import Iterable, Iterator
 from .errors import ResourceLimitError
 from .syntax import (
     BOT, TOP, And, Atom, Expr, Not, Or, Program, Rule, Top, Var,
-    negation_free,
+    negation_free, walk,
 )
 
 DEFAULT_CAP = 20
@@ -81,14 +83,16 @@ def _reduce_expr(expr: Expr, interp: Interpretation) -> Expr:
     return expr
 
 
+def _reduce_rules(rules: Iterable[Rule],
+                  interp: Interpretation) -> tuple[Rule, ...]:
+    return tuple(Rule(_reduce_expr(r.head, interp), _reduce_expr(r.body, interp))
+                 for r in rules)
+
+
 def reduct(program: Program, interp: Interpretation) -> Program:
     """Negation-free program obtained by fixing negated subexpressions
     to their classical truth value under ``interp``."""
-    return Program(
-        tuple(Rule(_reduce_expr(r.head, interp), _reduce_expr(r.body, interp))
-              for r in program.rules),
-        program.alphabet,
-    )
+    return Program(_reduce_rules(program.rules, interp), program.alphabet)
 
 
 @lru_cache(maxsize=None)
@@ -167,15 +171,16 @@ def minimal_models(program: Program, alphabet: Iterable[Atom],
 
 
 def _is_stable(program: Program, interp: Interpretation) -> bool:
-    red = reduct(program, interp)
-    if not interp <= red.var():
+    rules = _reduce_rules(program.rules, interp)
+    used = {n.atom for r in rules for e in (r.head, r.body) for n in walk(e)
+            if isinstance(n, Var)}
+    if not interp <= used:
         # an atom unused by the reduct can be dropped: not minimal
         return False
     atoms = sorted(interp)
-    m = len(atoms)
-    bm = _models_bitmap(red.rules, atoms)
+    bm = _models_bitmap(rules, atoms)
     # interp is the all-true index; stable iff no proper subset is a model
-    return bm & ((1 << ((1 << m) - 1)) - 1) == 0
+    return bm & ((1 << ((1 << len(atoms)) - 1)) - 1) == 0
 
 
 def answer_sets(program: Program, alphabet: Iterable[Atom],
@@ -185,67 +190,77 @@ def answer_sets(program: Program, alphabet: Iterable[Atom],
     atoms = _check_cap(alphabet, cap)
     # only classical models of the rule implications are candidates
     bm = _models_bitmap(program.rules, atoms)
-    found = []
-    for i in _iter_bits(bm):
-        interp = _index_to_interp(i, atoms)
-        if _is_stable(program, interp):
-            found.append(interp)
-    return frozenset(found)
+    candidates = (_index_to_interp(i, atoms) for i in _iter_bits(bm))
+    return frozenset(c for c in candidates if _is_stable(program, c))
+
+
+def _ht_bits(expr: Expr, table: dict[Atom, tuple[int, int]],
+             full: int) -> tuple[int, int]:
+    """Truth at H and at T of an expression over a batch of HT pairs
+    sharing one there-world; ``table`` maps atoms to their (H, T) bits."""
+    if isinstance(expr, Var):
+        return table.get(expr.atom, (0, 0))
+    if isinstance(expr, Not):
+        # not f holds at H iff f fails at H and at T
+        h, t = _ht_bits(expr.child, table, full)
+        return full ^ (h | t), full ^ t
+    if isinstance(expr, (And, Or)):
+        lh, lt = _ht_bits(expr.left, table, full)
+        rh, rt = _ht_bits(expr.right, table, full)
+        if isinstance(expr, And):
+            return lh & rh, lt & rt
+        return lh | rh, lt | rt
+    return (full, full) if isinstance(expr, Top) else (0, 0)
+
+
+def _ht_holds(rules: Iterable[Rule], table: dict[Atom, tuple[int, int]],
+              full: int) -> int:
+    """Bitmap of the pairs whose H world satisfies every B(r) -> H(r)."""
+    bm = full
+    for r in rules:
+        bh, bt = _ht_bits(r.body, table, full)
+        hh, ht = _ht_bits(r.head, table, full)
+        # clause for ->: true at H iff it holds at H and at T
+        bm &= ((full ^ bh) | hh) & ((full ^ bt) | ht)
+        if not bm:
+            break
+    return bm
+
+
+def _ht_blocks(rules: tuple[Rule, ...], atoms: list[Atom]
+               ) -> Iterator[tuple[list[Atom], int]]:
+    """For each there-world T: its atoms and the bitmap of HT-models <H, T>,
+    bit i for the H picked from T by the bits of i; <T, T> is the top bit."""
+    for t in range(1 << len(atoms)):
+        there = [a for j, a in enumerate(atoms) if (t >> j) & 1]
+        k = len(there)
+        full = (1 << (1 << k)) - 1
+        table = {a: (_atom_pattern(k, j), full) for j, a in enumerate(there)}
+        yield there, _ht_holds(rules, table, full)
+
+
+def _pair_table(f: HTInterpretation) -> dict[Atom, tuple[int, int]]:
+    return {a: (int(a in f.here), 1) for a in f.there}
 
 
 def eval_ht(expr: Expr, f: HTInterpretation, w: World) -> bool:
     """Truth of an expression at a world of an HT-interpretation."""
-    if isinstance(expr, Var):
-        return expr.atom in (f.here if w is World.H else f.there)
-    if isinstance(expr, Not):
-        if w is World.T:
-            return not eval_ht(expr.child, f, World.T)
-        return not eval_ht(expr.child, f, World.H) and \
-            not eval_ht(expr.child, f, World.T)
-    if isinstance(expr, And):
-        return eval_ht(expr.left, f, w) and eval_ht(expr.right, f, w)
-    if isinstance(expr, Or):
-        return eval_ht(expr.left, f, w) or eval_ht(expr.right, f, w)
-    return isinstance(expr, Top)
-
-
-def _implication_holds(body: Expr, head: Expr, f: HTInterpretation,
-                       w: World) -> bool:
-    # clause for ->: true at w iff it holds at every world above w
-    there = (not eval_ht(body, f, World.T)) or eval_ht(head, f, World.T)
-    if w is World.T:
-        return there
-    here = (not eval_ht(body, f, World.H)) or eval_ht(head, f, World.H)
-    return here and there
+    h, t = _ht_bits(expr, _pair_table(f), 1)
+    return bool(h if w is World.H else t)
 
 
 def is_ht_model(program: Program, f: HTInterpretation) -> bool:
     """F satisfies B(r) -> H(r) at H for every rule."""
-    return all(_implication_holds(r.body, r.head, f, World.H)
-               for r in program.rules)
-
-
-def _subsets(mask: int) -> Iterator[int]:
-    sub = mask
-    while True:
-        yield sub
-        if sub == 0:
-            return
-        sub = (sub - 1) & mask
+    return _ht_holds(program.rules, _pair_table(f), 1) == 1
 
 
 def ht_models(program: Program, alphabet: Iterable[Atom],
               cap: int = DEFAULT_CAP) -> frozenset[HTInterpretation]:
     atoms = _check_cap(alphabet, cap)
-    n = len(atoms)
-    out = []
-    for t in range(1 << n):
-        there = _index_to_interp(t, atoms)
-        for h in _subsets(t):
-            f = HTInterpretation(_index_to_interp(h, atoms), there)
-            if is_ht_model(program, f):
-                out.append(f)
-    return frozenset(out)
+    return frozenset(
+        HTInterpretation(_index_to_interp(i, there), frozenset(there))
+        for there, bm in _ht_blocks(program.rules, atoms)
+        for i in _iter_bits(bm))
 
 
 def ht_equivalent(p1: Program, p2: Program, alphabet: Iterable[Atom],
@@ -255,29 +270,14 @@ def ht_equivalent(p1: Program, p2: Program, alphabet: Iterable[Atom],
     if not (p1.var() | p2.var()) <= atoms:
         raise ValueError("alphabet must cover both programs")
     atom_list = _check_cap(atoms, cap)
-    n = len(atom_list)
-    for t in range(1 << n):
-        there = _index_to_interp(t, atom_list)
-        for h in _subsets(t):
-            f = HTInterpretation(_index_to_interp(h, atom_list), there)
-            if is_ht_model(p1, f) != is_ht_model(p2, f):
-                return False
-    return True
+    return all(bm1 == bm2 for (_, bm1), (_, bm2) in zip(
+        _ht_blocks(p1.rules, atom_list), _ht_blocks(p2.rules, atom_list)))
 
 
 def equilibrium_models(program: Program, alphabet: Iterable[Atom],
                        cap: int = DEFAULT_CAP) -> frozenset[Interpretation]:
     """Total HT-models <I,I> with no <J,I>, J a proper subset, a model."""
     atoms = _check_cap(alphabet, cap)
-    n = len(atoms)
-    out = []
-    for t in range(1 << n):
-        there = _index_to_interp(t, atoms)
-        if not is_ht_model(program, HTInterpretation(there, there)):
-            continue
-        if any(h != t and
-               is_ht_model(program, HTInterpretation(_index_to_interp(h, atoms), there))
-               for h in _subsets(t)):
-            continue
-        out.append(there)
-    return frozenset(out)
+    return frozenset(
+        frozenset(there) for there, bm in _ht_blocks(program.rules, atoms)
+        if bm == 1 << ((1 << len(there)) - 1))

@@ -201,12 +201,6 @@ class Rule:
     head: Expr
     body: Expr
 
-    def is_fact(self) -> bool:
-        return self.body == TOP
-
-    def is_constraint(self) -> bool:
-        return self.head == BOT
-
 
 @dataclass(frozen=True)
 class Program:
@@ -226,9 +220,6 @@ class Program:
         return frozenset(
             a for r in self.rules for e in (r.head, r.body) for a in expr_atoms(e)
         )
-
-    def rule_set(self) -> frozenset[Rule]:
-        return frozenset(self.rules)
 
     def union(self, other: "Program") -> "Program":
         seen = set(self.rules)

@@ -313,26 +313,17 @@ class _NodeBudget:
                 f"distributive expansion exceeded {self.limit} nodes")
 
 
-def _dnf(expr: Expr, budget: _NodeBudget) -> list[list[Expr]]:
+def _normal_form(expr: Expr, outer: type[Expr],
+                 budget: _NodeBudget) -> list[list[Expr]]:
+    """Literal lists joined by ``outer`` at the top and by its dual
+    inside: DNF terms for ``Or``, CNF clauses for ``And``."""
     if is_ht_literal(expr):
         budget.charge(1)
         return [[expr]]
-    if isinstance(expr, Or):
-        return _dnf(expr.left, budget) + _dnf(expr.right, budget)
-    left = _dnf(expr.left, budget)
-    right = _dnf(expr.right, budget)
-    budget.charge(sum(len(a) + len(b) for a in left for b in right))
-    return [a + b for a in left for b in right]
-
-
-def _cnf(expr: Expr, budget: _NodeBudget) -> list[list[Expr]]:
-    if is_ht_literal(expr):
-        budget.charge(1)
-        return [[expr]]
-    if isinstance(expr, And):
-        return _cnf(expr.left, budget) + _cnf(expr.right, budget)
-    left = _cnf(expr.left, budget)
-    right = _cnf(expr.right, budget)
+    left = _normal_form(expr.left, outer, budget)
+    right = _normal_form(expr.right, outer, budget)
+    if isinstance(expr, outer):
+        return left + right
     budget.charge(sum(len(a) + len(b) for a in left for b in right))
     return [a + b for a in left for b in right]
 
@@ -349,8 +340,8 @@ def translate_distributive(program: Program, max_nodes: int = 1_000_000
     budget = _NodeBudget(max_nodes)
     rules = []
     for rule in staged.rules:
-        clauses = _cnf(rule.head, budget)
-        terms = _dnf(rule.body, budget)
+        clauses = _normal_form(rule.head, And, budget)
+        terms = _normal_form(rule.body, Or, budget)
         for term in terms:
             for clause in clauses:
                 rules.append(Rule(disjunction(clause), conjunction(term)))

@@ -46,12 +46,14 @@ class GeneratorConfig:
     family: str = "random"
 
 
-def translate_mode(program: Program, mode: str
+def translate_mode(program: Program, mode: str, simplify: bool = False
                    ) -> tuple[Program, TranslationReport]:
+    """Translate in the named mode; ``simplify`` applies to the labeling
+    modes, as the distributive mode creates no labels."""
     if mode == "structural":
-        return translate_structural(program)
+        return translate_structural(program, simplify=simplify)
     if mode == "polarity":
-        return translate_polarity_variant(program)
+        return translate_polarity_variant(program, simplify=simplify)
     if mode == "distributive":
         return translate_distributive(program)
     raise ValueError(f"unknown translation mode {mode!r}")

@@ -1,5 +1,9 @@
+import os
+from pathlib import Path
+
 import pytest
 
+import nlp2dlp
 from nlp2dlp import GeneratorConfig, generate_program, translate_structural
 
 CORPUS_MAX_ATOMS = 4
@@ -25,6 +29,16 @@ def build_corpus(count):
             kept.append(program)
         seed += 1
     return kept
+
+
+@pytest.fixture(scope="session", autouse=True)
+def package_on_subprocess_path():
+    """The CLI tests run ``python -m nlp2dlp`` in a subprocess: let it
+    import the same package as the tests, installed or from a checkout."""
+    root = str(Path(nlp2dlp.__file__).resolve().parents[1])
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setenv("PYTHONPATH", root, prepend=os.pathsep)
+        yield
 
 
 @pytest.fixture(scope="session")

@@ -2,9 +2,15 @@ import io
 import subprocess
 import sys
 
+import pytest
+
 from nlp2dlp.cli import main
 
 CLOSING = "p. q. r v (p, q).\n"
+DEEP_INPUTS = {
+    "long_body": "p :- " + ", ".join(f"a{i}" for i in range(600)) + ".\n",
+    "stacked_not": "p :- " + "not " * 2000 + "q.\n",
+}
 
 
 def run_cli(args, stdin=""):
@@ -138,6 +144,30 @@ def test_distributive_guard_exits_3(tmp_path, capsys, monkeypatch):
                              text, capsys, monkeypatch)
     assert code == 3
     assert "resource error" in err
+
+
+@pytest.mark.parametrize("kind", sorted(DEEP_INPUTS))
+def test_too_deep_input_exits_3_with_one_line(kind):
+    code, _, err = run_cli(["translate"], DEEP_INPUTS[kind])
+    assert code == 3
+    assert err.startswith("resource error:") and len(err.splitlines()) == 1
+
+
+def test_translate_simplify_reaches_every_mode(capsys, monkeypatch):
+    from nlp2dlp import (
+        parse, print_dlv, translate_distributive, translate_polarity_variant,
+        translate_structural,
+    )
+    program = parse(CLOSING)
+    expected = {
+        "structural": translate_structural(program, simplify=True)[0],
+        "polarity": translate_polarity_variant(program, simplify=True)[0],
+        "distributive": translate_distributive(program)[0],
+    }
+    for mode, translated in expected.items():
+        code, out, _ = call_main(["translate", "--simplify", "--mode", mode],
+                                 CLOSING, capsys, monkeypatch)
+        assert code == 0 and out == print_dlv(translated)
 
 
 def test_unknown_flag_exits_2():

@@ -8,7 +8,10 @@ from nlp2dlp import (
 )
 from nlp2dlp.syntax import negation_free
 
-from naive_oracle import naive_answer_sets, naive_minimal_models, subsets
+from naive_oracle import (
+    naive_answer_sets, naive_equilibrium_models, naive_ht_models,
+    naive_minimal_models, subsets,
+)
 
 pa, qa, ra = user_atom("p"), user_atom("q"), user_atom("r")
 p, q, r = Var(pa), Var(qa), Var(ra)
@@ -160,6 +163,15 @@ def test_equilibrium_models_examples():
     closing = parse("p. q. r v (p, q).")
     assert equilibrium_models(closing, {pa, qa, ra}) == \
         frozenset({frozenset({pa, qa})})
+
+
+def test_ht_models_and_equilibria_match_naive_oracle(corpus):
+    for program in corpus[:60]:
+        alphabet = program.alphabet
+        assert {(f.here, f.there) for f in ht_models(program, alphabet)} == \
+            naive_ht_models(program, alphabet)
+        assert equilibrium_models(program, alphabet) == \
+            naive_equilibrium_models(program, alphabet)
 
 
 def test_proposition_1_on_corpus(corpus):
