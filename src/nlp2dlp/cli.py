@@ -18,8 +18,8 @@ from .errors import (
     NotDisjunctiveError, ParseError, ResourceLimitError, StageInputError,
 )
 from .semantics import DEFAULT_CAP, Interpretation, answer_sets, equilibrium_models
-from .syntax import Atom, AtomKind, BAR_PREFIX, LABEL_PREFIX, Program
-from .textio import parse, print_dlv, print_nested
+from .syntax import Atom, Program
+from .textio import parse, parse_atom, print_dlv, print_nested
 from .verify import (
     GeneratorConfig, check_faithful, check_modular, check_strongly_faithful,
     generate_program, growth_csv, measure_growth, translate_mode,
@@ -47,18 +47,9 @@ def _write_text(path: str | None, text: str) -> None:
 
 
 def _parse_atom_list(spec: str) -> frozenset[Atom]:
-    atoms = set()
-    for name in spec.split(","):
-        name = name.strip()
-        if not name:
-            continue
-        if name.startswith(LABEL_PREFIX):
-            atoms.add(Atom(name, AtomKind.LABEL))
-        elif name.startswith(BAR_PREFIX):
-            atoms.add(Atom(name, AtomKind.BAR))
-        else:
-            atoms.add(Atom(name, AtomKind.USER))
-    return frozenset(atoms)
+    names = (name.strip() for name in spec.split(","))
+    return frozenset(parse_atom(name, allow_internal=True)
+                     for name in names if name)
 
 
 def _format_interp(interp: Interpretation) -> str:

@@ -5,14 +5,20 @@ and disjunction.  Rules pair a head and a body expression; facts carry
 body ``true`` and constraints carry head ``false``.  The alphabet is
 partitioned into user atoms, generated labels (``l_<index>``) and bar
 atoms (``n_<atom>``) standing for negated heads.
+
+Every node stores its structural hash, so hashing and unequal
+comparisons cost O(1) whatever the size of the tree.  Every traversal
+keeps an explicit stack instead of recursing, so a long rule body or a
+deep nesting costs time linear in its size and never meets Python's
+recursion limit.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
-from typing import Callable, Iterable, Iterator
+from typing import Iterable, Iterator
 
 LABEL_PREFIX = "l_"
 BAR_PREFIX = "n_"
@@ -49,6 +55,10 @@ class Atom:
                     or base.startswith((LABEL_PREFIX, BAR_PREFIX)):
                 raise ValueError(f"invalid bar atom name {self.name!r}")
 
+    def __hash__(self) -> int:
+        # the name alone fixes the kind
+        return hash(self.name)
+
     def __lt__(self, other: "Atom") -> bool:
         return self.name < other.name
 
@@ -71,39 +81,110 @@ def bar_atom(atom: Atom) -> Atom:
 
 
 class Expr:
+    """Base of the expression nodes.
+
+    Nodes are immutable once built.  Each stores its structural hash,
+    computed once in ``__init__`` from the hashes its children already
+    store, so hashing is O(1) and unequal hashes settle ``==`` at once;
+    only equal-looking trees are compared field by field.
+    """
+
+    __slots__ = ("_hash",)
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __eq__(self, other: object) -> bool:
+        if self is other:
+            return True
+        if not isinstance(other, Expr):
+            return NotImplemented
+        stack = [(self, other)]
+        while stack:
+            a, b = stack.pop()
+            if a is b:
+                continue
+            if type(a) is not type(b) or a._hash != b._hash:
+                return False
+            if isinstance(a, Var):
+                if a.atom != b.atom:
+                    return False
+            elif isinstance(a, Not):
+                stack.append((a.child, b.child))
+            elif isinstance(a, (And, Or)):
+                stack.append((a.right, b.right))
+                stack.append((a.left, b.left))
+        return True
+
+    def __repr__(self) -> str:
+        out: list[str] = []
+        stack: list[Expr | str] = [self]
+        while stack:
+            e = stack.pop()
+            if isinstance(e, str):
+                out.append(e)
+            elif isinstance(e, Var):
+                out.append(f"Var(atom={e.atom!r})")
+            elif isinstance(e, Not):
+                stack += (")", e.child, "Not(child=")
+            elif isinstance(e, (And, Or)):
+                stack += (")", e.right, ", right=", e.left,
+                          f"{type(e).__name__}(left=")
+            else:
+                out.append(f"{type(e).__name__}()")
+        return "".join(out)
+
+
+# hash tags, one per node type
+_TOP, _BOT, _VAR, _NOT, _AND, _OR = range(6)
+
+
+class Top(Expr):
     __slots__ = ()
 
-
-@dataclass(frozen=True, slots=True)
-class Top(Expr):
-    pass
+    def __init__(self):
+        self._hash = hash((_TOP,))
 
 
-@dataclass(frozen=True, slots=True)
 class Bot(Expr):
-    pass
+    __slots__ = ()
+
+    def __init__(self):
+        self._hash = hash((_BOT,))
 
 
-@dataclass(frozen=True, slots=True)
 class Var(Expr):
-    atom: Atom
+    __slots__ = ("atom",)
+
+    def __init__(self, atom: Atom):
+        self.atom = atom
+        self._hash = hash((_VAR, atom.name))
 
 
-@dataclass(frozen=True, slots=True)
 class Not(Expr):
-    child: Expr
+    __slots__ = ("child",)
+
+    def __init__(self, child: Expr):
+        self.child = child
+        self._hash = hash((_NOT, child._hash))
 
 
-@dataclass(frozen=True, slots=True)
 class And(Expr):
-    left: Expr
-    right: Expr
+    __slots__ = ("left", "right")
+
+    def __init__(self, left: Expr, right: Expr):
+        self.left = left
+        self.right = right
+        self._hash = hash((_AND, left._hash, right._hash))
 
 
-@dataclass(frozen=True, slots=True)
 class Or(Expr):
-    left: Expr
-    right: Expr
+    __slots__ = ("left", "right")
+
+    def __init__(self, left: Expr, right: Expr):
+        self.left = left
+        self.right = right
+        self._hash = hash((_OR, left._hash, right._hash))
 
 
 TOP = Top()
@@ -132,39 +213,81 @@ def disjunction(parts: Iterable[Expr]) -> Expr:
     return expr
 
 
+def _leaves(expr: Expr, op: type[Expr]) -> list[Expr]:
+    """Left-to-right leaves of the ``op``-tree at the root of ``expr``."""
+    out: list[Expr] = []
+    stack = [expr]
+    while stack:
+        e = stack.pop()
+        if isinstance(e, op):
+            stack.append(e.right)
+            stack.append(e.left)
+        else:
+            out.append(e)
+    return out
+
+
 def conjuncts(expr: Expr) -> list[Expr]:
     """Flatten a conjunction tree into its non-conjunction leaves."""
-    if isinstance(expr, And):
-        return conjuncts(expr.left) + conjuncts(expr.right)
-    return [expr]
+    return _leaves(expr, And) if isinstance(expr, And) else [expr]
 
 
 def disjuncts(expr: Expr) -> list[Expr]:
-    if isinstance(expr, Or):
-        return disjuncts(expr.left) + disjuncts(expr.right)
-    return [expr]
+    return _leaves(expr, Or) if isinstance(expr, Or) else [expr]
 
 
 def walk(expr: Expr) -> Iterator[Expr]:
     """Post-order traversal of every node (with repetitions)."""
-    if isinstance(expr, Not):
-        yield from walk(expr.child)
-    elif isinstance(expr, (And, Or)):
-        yield from walk(expr.left)
-        yield from walk(expr.right)
-    yield expr
+    stack: list[tuple[Expr, bool]] = [(expr, False)]
+    while stack:
+        e, expanded = stack.pop()
+        if expanded:
+            yield e
+            continue
+        stack.append((e, True))
+        if isinstance(e, Not):
+            stack.append((e.child, False))
+        elif isinstance(e, (And, Or)):
+            stack.append((e.right, False))
+            stack.append((e.left, False))
 
 
 def expr_size(expr: Expr) -> int:
-    if isinstance(expr, Not):
-        return 1 + expr_size(expr.child)
-    if isinstance(expr, (And, Or)):
-        return 1 + expr_size(expr.left) + expr_size(expr.right)
-    return 1
+    return _node_count((expr,))
+
+
+def _node_count(exprs: Iterable[Expr]) -> int:
+    count = 0
+    stack = list(exprs)
+    while stack:
+        e = stack.pop()
+        count += 1
+        if isinstance(e, Not):
+            stack.append(e.child)
+        elif isinstance(e, (And, Or)):
+            stack.append(e.left)
+            stack.append(e.right)
+    return count
 
 
 def expr_atoms(expr: Expr) -> frozenset[Atom]:
-    return frozenset(n.atom for n in walk(expr) if isinstance(n, Var))
+    return _atoms((expr,))
+
+
+def _atoms(exprs: Iterable[Expr]) -> frozenset[Atom]:
+    # keyed by name, which fixes the atom: each atom is hashed once
+    atoms: dict[str, Atom] = {}
+    stack = list(exprs)
+    while stack:
+        e = stack.pop()
+        if isinstance(e, Var):
+            atoms[e.atom.name] = e.atom
+        elif isinstance(e, Not):
+            stack.append(e.child)
+        elif isinstance(e, (And, Or)):
+            stack.append(e.left)
+            stack.append(e.right)
+    return frozenset(atoms.values())
 
 
 def is_literal(expr: Expr) -> bool:
@@ -189,37 +312,56 @@ def negation_free(expr: Expr) -> bool:
 
 def is_ht_nnf(expr: Expr) -> bool:
     """Built from HT-literals, conjunction and disjunction only."""
-    if is_ht_literal(expr):
-        return True
-    if isinstance(expr, (And, Or)):
-        return is_ht_nnf(expr.left) and is_ht_nnf(expr.right)
-    return False
+    stack = [expr]
+    while stack:
+        e = stack.pop()
+        if isinstance(e, (And, Or)):
+            stack.append(e.left)
+            stack.append(e.right)
+        elif not is_ht_literal(e):
+            return False
+    return True
 
 
-@dataclass(frozen=True, slots=True)
 class Rule:
-    head: Expr
-    body: Expr
+    """``head :- body``; immutable once built, like its expressions."""
+
+    __slots__ = ("head", "body", "_rank")
+
+    def __init__(self, head: Expr, body: Expr):
+        self.head = head
+        self.body = body
+        # class value, set by the first _rule_rank call
+        self._rank: int | None = None
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Rule):
+            return NotImplemented
+        return self.head == other.head and self.body == other.body
+
+    def __hash__(self) -> int:
+        return hash((self.head, self.body))
+
+    def __repr__(self) -> str:
+        return f"Rule(head={self.head!r}, body={self.body!r})"
 
 
 @dataclass(frozen=True)
 class Program:
     rules: tuple[Rule, ...] = ()
     alphabet: frozenset[Atom] = frozenset()
+    _var: frozenset[Atom] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         rules = tuple(self.rules)
         object.__setattr__(self, "rules", rules)
-        occurring = frozenset(
-            a for r in rules for e in (r.head, r.body) for a in expr_atoms(e)
-        )
+        occurring = _atoms(e for r in rules for e in (r.head, r.body))
+        object.__setattr__(self, "_var", occurring)
         object.__setattr__(self, "alphabet", frozenset(self.alphabet) | occurring)
 
     def var(self) -> frozenset[Atom]:
         """Atoms actually occurring in the rules."""
-        return frozenset(
-            a for r in self.rules for e in (r.head, r.body) for a in expr_atoms(e)
-        )
+        return self._var
 
     def union(self, other: "Program") -> "Program":
         seen = set(self.rules)
@@ -241,50 +383,50 @@ class ProgramClass(Enum):
     NESTED = 5
 
 
-def _is_disj_of(pred: Callable[[Expr], bool], expr: Expr) -> bool:
-    if isinstance(expr, Or):
-        return _is_disj_of(pred, expr.left) and _is_disj_of(pred, expr.right)
-    return pred(expr)
+_CLASSES = tuple(ProgramClass)
+_BASIC, _DISJ, _GDISJ, _GDLP_HT, _NNF, _NESTED = (c.value for c in _CLASSES)
+_ATOMIC = (Var, Top, Bot)
 
 
-def _is_conj_of(pred: Callable[[Expr], bool], expr: Expr) -> bool:
-    if isinstance(expr, And):
-        return _is_conj_of(pred, expr.left) and _is_conj_of(pred, expr.right)
-    return pred(expr)
+def _rule_rank(rule: Rule) -> int:
+    """Value of the most specific class of a one-rule program."""
+    if rule._rank is None:
+        rule._rank = _read_rank(rule)
+    return rule._rank
 
 
-def _no_negated_atom(expr: Expr) -> bool:
-    return not (isinstance(expr, Not) and isinstance(expr.child, Var))
-
-
-def _rule_in_class(rule: Rule, cls: ProgramClass) -> bool:
-    if cls is ProgramClass.NESTED:
-        return True
-    if cls is ProgramClass.NNF:
-        return is_ht_nnf(rule.head) and is_ht_nnf(rule.body)
-    if cls is ProgramClass.GDLP_HT:
-        return (_is_disj_of(is_ht_literal, rule.head)
-                and _is_conj_of(is_ht_literal, rule.body))
-    gd = (_is_disj_of(is_literal, rule.head)
-          and _is_conj_of(is_literal, rule.body))
-    if cls is ProgramClass.GENERALIZED_DISJUNCTIVE:
-        return gd
-    disj = gd and all(_no_negated_atom(d) for d in disjuncts(rule.head))
-    if cls is ProgramClass.DISJUNCTIVE:
-        return disj
-    return disj and negation_free(rule.head) and negation_free(rule.body)
+def _read_rank(rule: Rule) -> int:
+    """``_rule_rank``, read off the head disjuncts and body conjuncts in
+    one pass."""
+    rank = _BASIC
+    for root, op in ((rule.head, Or), (rule.body, And)):
+        for e in _leaves(root, op) if isinstance(root, op) else (root,):
+            if isinstance(e, _ATOMIC):
+                continue
+            child = e.child if isinstance(e, Not) else None
+            if isinstance(child, Var) and op is Or:
+                r = _GDISJ
+            elif isinstance(child, _ATOMIC):
+                r = _DISJ
+            elif isinstance(child, Not) and isinstance(child.child, _ATOMIC):
+                r = _GDLP_HT
+            else:
+                r = _NNF
+            if r > rank:
+                rank = r
+    if rank == _NNF and not (is_ht_nnf(rule.head) and is_ht_nnf(rule.body)):
+        return _NESTED
+    return rank
 
 
 def program_in_class(program: Program, cls: ProgramClass) -> bool:
-    return all(_rule_in_class(r, cls) for r in program.rules)
+    limit = cls.value
+    return all(_rule_rank(r) <= limit for r in program.rules)
 
 
 def classify(program: Program) -> ProgramClass:
     """Most specific syntactic class containing the program."""
-    for cls in ProgramClass:
-        if program_in_class(program, cls):
-            return cls
-    return ProgramClass.NESTED
+    return _CLASSES[max(map(_rule_rank, program.rules), default=0)]
 
 
 def subformulas(expr: Expr, ht_atomic: bool = False) -> list[Expr]:
@@ -293,26 +435,36 @@ def subformulas(expr: Expr, ht_atomic: bool = False) -> list[Expr]:
     With ``ht_atomic`` set, HT-literals are kept as atomic units, so
     ``not not p`` contributes itself rather than ``p`` and ``not p``.
     """
-    seen: set[Expr] = set()
+    return _new_subformulas(expr, ht_atomic, set())
+
+
+def _new_subformulas(expr: Expr, ht_atomic: bool, seen: set[Expr]
+                     ) -> list[Expr]:
+    """``subformulas`` of ``expr`` that are not in ``seen``, which gains
+    them; the subexpressions of a node in ``seen`` are skipped, as they
+    were added with it."""
     out: list[Expr] = []
-
-    def visit(e: Expr) -> None:
+    stack: list[tuple[Expr, bool]] = [(expr, False)]
+    while stack:
+        e, expanded = stack.pop()
+        if expanded:
+            seen.add(e)
+            out.append(e)
+            continue
         if e in seen:
-            return
-        if not (ht_atomic and is_ht_literal(e)):
-            if isinstance(e, Not):
-                visit(e.child)
-            elif isinstance(e, (And, Or)):
-                visit(e.left)
-                visit(e.right)
-        seen.add(e)
-        out.append(e)
-
-    visit(expr)
+            continue
+        stack.append((e, True))
+        if ht_atomic and is_ht_literal(e):
+            continue
+        if isinstance(e, Not):
+            stack.append((e.child, False))
+        elif isinstance(e, (And, Or)):
+            stack.append((e.right, False))
+            stack.append((e.left, False))
     return out
 
 
 def program_size(program: Program) -> int:
     """Total node count over all heads and bodies, plus the rule count."""
-    return sum(expr_size(r.head) + expr_size(r.body) for r in program.rules) \
+    return _node_count(e for r in program.rules for e in (r.head, r.body)) \
         + len(program.rules)

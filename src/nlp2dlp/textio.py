@@ -19,13 +19,13 @@ position is disjunction, elsewhere it is an ordinary atom.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import NotDisjunctiveError, ParseError
 from .syntax import (
     BAR_PREFIX, BOT, LABEL_PREFIX, TOP, And, Atom, AtomKind, Bot, Expr, Not,
     Or, Program, ProgramClass, Rule, Top, Var, classify, conjuncts, disjuncts,
-    _rule_in_class,
+    _rule_rank,
 )
 
 _TOKEN_RE = re.compile(
@@ -46,8 +46,7 @@ _PUNCT = {
 }
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     kind: str
     text: str
     line: int
@@ -89,6 +88,8 @@ class _Parser:
         self.pos = 0
         self.origin = origin
         self.allow_internal = allow_internal
+        # one node per atom name: its atom is validated once
+        self.vars: dict[str, Var] = {}
 
     def peek(self) -> Token:
         return self.tokens[self.pos]
@@ -129,68 +130,89 @@ class _Parser:
                     body if body is not None else TOP)
 
     def expr(self) -> Expr:
-        return self.disj()
+        """Operator-precedence loop over ``neg``, ``conj`` and ``disj``;
+        parentheses open a group on the operator stack instead of a
+        nested call, so nesting depth costs no recursion."""
+        operands: list[Expr] = []
+        ops: list[str] = []  # "not", "and", "or" and "lparen"
+        depth = 0  # open parentheses
 
-    def disj(self) -> Expr:
-        e = self.conj()
+        def reduce(stop: tuple[str, ...]) -> None:
+            while ops and ops[-1] not in stop:
+                op = ops.pop()
+                if op == "not":
+                    operands.append(Not(operands.pop()))
+                else:
+                    right = operands.pop()
+                    left = operands.pop()
+                    operands.append(And(left, right) if op == "and"
+                                    else Or(left, right))
+
         while True:
-            tok = self.peek()
-            if tok.kind == "or" or (tok.kind == "ident" and tok.text == "v"):
-                self.advance()
-                e = Or(e, self.conj())
+            tok = self.advance()
+            if tok.kind == "not":
+                ops.append("not")
+                continue
+            if tok.kind == "lparen":
+                ops.append("lparen")
+                depth += 1
+                continue
+            if tok.kind == "true":
+                operands.append(TOP)
+            elif tok.kind == "false":
+                operands.append(BOT)
+            elif tok.kind == "ident":
+                operands.append(self.var(tok))
             else:
-                return e
+                raise self.error(f"expected an expression, found {tok.text!r}",
+                                 tok)
+            # negations bind to the operand just read, or to the group it
+            # closes
+            reduce(("and", "or", "lparen"))
+            while depth and self.peek().kind == "rparen":
+                self.advance()
+                reduce(("lparen",))
+                ops.pop()
+                depth -= 1
+                reduce(("and", "or", "lparen"))
+            tok = self.peek()
+            if tok.kind == "and":
+                reduce(("or", "lparen"))
+                ops.append("and")
+            elif tok.kind == "or" or (tok.kind == "ident" and tok.text == "v"):
+                reduce(("lparen",))
+                ops.append("or")
+            elif depth:
+                raise self.error(f"expected ')', found {tok.text!r}")
+            else:
+                reduce(())
+                return operands.pop()
+            self.advance()
 
-    def conj(self) -> Expr:
-        e = self.neg()
-        while self.peek().kind == "and":
-            self.advance()
-            e = And(e, self.neg())
-        return e
-
-    def neg(self) -> Expr:
-        count = 0
-        while self.peek().kind == "not":
-            self.advance()
-            count += 1
-        e = self.prim()
-        for _ in range(count):
-            e = Not(e)
-        return e
-
-    def prim(self) -> Expr:
-        tok = self.peek()
-        if tok.kind == "true":
-            self.advance()
-            return TOP
-        if tok.kind == "false":
-            self.advance()
-            return BOT
-        if tok.kind == "ident":
-            self.advance()
-            return Var(self.atom(tok))
-        if tok.kind == "lparen":
-            self.advance()
-            e = self.expr()
-            self.expect("rparen", "')'")
-            return e
-        raise self.error(f"expected an expression, found {tok.text!r}")
-
-    def atom(self, tok: Token) -> Atom:
-        name = tok.text
-        if name.startswith((LABEL_PREFIX, BAR_PREFIX)):
-            if not self.allow_internal:
-                raise self.error(
-                    f"atom {name!r} uses a reserved prefix", tok)
-            kind = AtomKind.LABEL if name.startswith(LABEL_PREFIX) else AtomKind.BAR
+    def var(self, tok: Token) -> Var:
+        node = self.vars.get(tok.text)
+        if node is None:
             try:
-                return Atom(name, kind)
+                node = Var(parse_atom(tok.text, self.allow_internal))
             except ValueError as exc:
                 raise self.error(str(exc), tok) from None
-        try:
-            return Atom(name, AtomKind.USER)
-        except ValueError as exc:
-            raise self.error(str(exc), tok) from None
+            self.vars[tok.text] = node
+        return node
+
+
+def parse_atom(name: str, allow_internal: bool = False) -> Atom:
+    """The atom spelled ``name``, its kind read off its prefix.
+
+    Label (``l_``) and bar (``n_``) names are admitted only with
+    ``allow_internal``; a name that is not a valid atom raises
+    ``ValueError``.
+    """
+    if name.startswith((LABEL_PREFIX, BAR_PREFIX)):
+        if not allow_internal:
+            raise ValueError(f"atom {name!r} uses a reserved prefix")
+        kind = AtomKind.LABEL if name.startswith(LABEL_PREFIX) else AtomKind.BAR
+        return Atom(name, kind)
+    return Atom(name, AtomKind.USER)
 
 
 def parse(text: str, origin: str = "<string>",
@@ -226,26 +248,36 @@ def _prec(expr: Expr) -> int:
 
 def format_expr(expr: Expr) -> str:
     """Nested syntax for an expression; reparsing restores the tree."""
-    return _fmt(expr, _PREC_OR)
+    out: list[str] = []
+    # pieces still to print, last first: text, or a subexpression with
+    # the least precedence it may show without parentheses
+    stack: list[str | tuple[Expr, int]] = [(expr, _PREC_OR)]
+    while stack:
+        item = stack.pop()
+        if isinstance(item, str):
+            out.append(item)
+            continue
+        e, min_prec = item
+        if isinstance(e, Not):
+            parts = ["not ", (e.child, _PREC_NOT)]
+        elif isinstance(e, And):
+            # right operand at a higher level keeps reparsing left-associative
+            parts = [(e.left, _PREC_AND), ", ", (e.right, _PREC_NOT)]
+        elif isinstance(e, Or):
+            parts = [(e.left, _PREC_OR), " v ", (e.right, _PREC_AND)]
+        else:
+            out.append(_atomic_text(e))
+            continue
+        if _prec(e) < min_prec:
+            parts = ["(", *parts, ")"]
+        stack.extend(reversed(parts))
+    return "".join(out)
 
 
-def _fmt(expr: Expr, min_prec: int) -> str:
-    if isinstance(expr, Top):
-        s = "true"
-    elif isinstance(expr, Bot):
-        s = "false"
-    elif isinstance(expr, Var):
-        s = expr.atom.name
-    elif isinstance(expr, Not):
-        s = "not " + _fmt(expr.child, _PREC_NOT)
-    elif isinstance(expr, And):
-        # right operand at a higher level keeps reparsing left-associative
-        s = _fmt(expr.left, _PREC_AND) + ", " + _fmt(expr.right, _PREC_NOT)
-    else:
-        s = _fmt(expr.left, _PREC_OR) + " v " + _fmt(expr.right, _PREC_AND)
-    if _prec(expr) < min_prec:
-        return "(" + s + ")"
-    return s
+def _atomic_text(expr: Expr) -> str:
+    if isinstance(expr, Var):
+        return expr.atom.name
+    return "true" if isinstance(expr, Top) else "false"
 
 
 def format_rule(rule: Rule) -> str:
@@ -262,21 +294,21 @@ def print_nested(program: Program) -> str:
 
 
 def _dlv_literal(expr: Expr) -> str:
-    if isinstance(expr, Not):
-        return "not " + _dlv_literal(expr.child)
     if isinstance(expr, Var):
         return expr.atom.name
-    if isinstance(expr, Top):
-        return "true"
-    return "false"
+    nots = 0
+    while isinstance(expr, Not):
+        nots += 1
+        expr = expr.child
+    return "not " * nots + _atomic_text(expr)
 
 
 def format_dlv_rule(rule: Rule) -> str:
-    body = None if rule.body == TOP else \
-        ", ".join(_dlv_literal(c) for c in conjuncts(rule.body))
-    if rule.head == BOT:
+    body = None if isinstance(rule.body, Top) else \
+        ", ".join(map(_dlv_literal, conjuncts(rule.body)))
+    if isinstance(rule.head, Bot):
         return ":- " + (body if body is not None else "true") + "."
-    head = " v ".join(_dlv_literal(d) for d in disjuncts(rule.head))
+    head = " v ".join(map(_dlv_literal, disjuncts(rule.head)))
     if body is None:
         return head + "."
     return head + " :- " + body + "."
@@ -290,7 +322,7 @@ def print_dlv(program: Program) -> str:
     """
     if classify(program).value > ProgramClass.DISJUNCTIVE.value:
         bad = next(r for r in program.rules
-                   if not _rule_in_class(r, ProgramClass.DISJUNCTIVE))
+                   if _rule_rank(r) > ProgramClass.DISJUNCTIVE.value)
         raise NotDisjunctiveError(
             f"not in disjunctive form: {format_rule(bad)}")
     return "".join(format_dlv_rule(r) + "\n" for r in program.rules)

@@ -21,7 +21,7 @@ from .errors import ResourceLimitError, StageInputError
 from .syntax import (
     BOT, TOP, And, Atom, Bot, Expr, Not, Or, Program, ProgramClass, Rule,
     Top, Var, bar_atom, conjuncts, disjunction, disjuncts, conjunction,
-    is_ht_literal, label_atom, program_in_class, program_size, subformulas,
+    is_ht_literal, label_atom, program_size, _new_subformulas, _rule_rank,
 )
 
 
@@ -31,13 +31,17 @@ class AtomTable:
 
     Labels are keyed by structural equality, so identical subformulas
     share one label; the first occurrence in program order receives the
-    lowest index.
+    lowest index.  ``formulas`` maps each label back to its subformula,
+    and ``bars`` maps each user atom to its bar atom.  ``user`` records
+    the input alphabet; no stage reads it.
     """
 
     user: frozenset[Atom] = frozenset()
     labels: dict[Expr, Atom] = field(default_factory=dict)
     bars: dict[Atom, Atom] = field(default_factory=dict)
     next_label_index: int = 0
+    formulas: dict[Atom, Expr] = field(default_factory=dict, init=False,
+                                       repr=False, compare=False)
 
     def label(self, expr: Expr) -> Atom:
         atom = self.labels.get(expr)
@@ -45,6 +49,7 @@ class AtomTable:
             atom = label_atom(self.next_label_index)
             self.next_label_index += 1
             self.labels[expr] = atom
+            self.formulas[atom] = expr
         return atom
 
     def bar(self, atom: Atom) -> Atom:
@@ -55,10 +60,10 @@ class AtomTable:
         return barred
 
     def formula_of(self, label: Atom) -> Expr:
-        for expr, atom in self.labels.items():
-            if atom == label:
-                return expr
-        raise KeyError(label.name)
+        expr = self.formulas.get(label)
+        if expr is None:
+            raise KeyError(label.name)
+        return expr
 
 
 @dataclass(frozen=True)
@@ -89,24 +94,36 @@ def normalize_nnf(expr: Expr) -> Expr:
     The result is built from HT-literals, conjunctions and disjunctions,
     and has the same HT-models as the input.
     """
-    if is_ht_literal(expr):
-        return expr
-    if isinstance(expr, And):
-        return And(normalize_nnf(expr.left), normalize_nnf(expr.right))
-    if isinstance(expr, Or):
-        return Or(normalize_nnf(expr.left), normalize_nnf(expr.right))
-    inner = expr.child
-    if isinstance(inner, And):
-        return Or(normalize_nnf(Not(inner.left)), normalize_nnf(Not(inner.right)))
-    if isinstance(inner, Or):
-        return And(normalize_nnf(Not(inner.left)), normalize_nnf(Not(inner.right)))
-    # expr = not not x with x compound
-    x = inner.child
-    if isinstance(x, Not):
-        return normalize_nnf(Not(x.child))
-    if isinstance(x, And):
-        return And(normalize_nnf(Not(Not(x.left))), normalize_nnf(Not(Not(x.right))))
-    return Or(normalize_nnf(Not(Not(x.left))), normalize_nnf(Not(Not(x.right))))
+    done: list[Expr] = []
+    # inputs still to normalize, last first, and the connective that
+    # joins the last two results
+    todo: list[Expr | type[Expr]] = [expr]
+    while todo:
+        e = todo.pop()
+        if isinstance(e, type):
+            right = done.pop()
+            done.append(e(done.pop(), right))
+            continue
+        # not not not x has the HT-models of not x
+        while isinstance(e, Not) and isinstance(e.child, Not) \
+                and isinstance(e.child.child, Not):
+            e = Not(e.child.child.child)
+        if is_ht_literal(e):
+            done.append(e)
+            continue
+        if isinstance(e, (And, Or)):
+            op, left, right = type(e), e.left, e.right
+        elif isinstance(e.child, (And, Or)):
+            # De Morgan
+            inner = e.child
+            op = Or if isinstance(inner, And) else And
+            left, right = Not(inner.left), Not(inner.right)
+        else:
+            # not not distributes over a compound x
+            x = e.child.child
+            op, left, right = type(x), Not(Not(x.left)), Not(Not(x.right))
+        todo += (op, right, left)
+    return done.pop()
 
 
 def tr1(program: Program) -> Program:
@@ -118,10 +135,13 @@ def tr1(program: Program) -> Program:
     )
 
 
-def _require(program: Program, cls: ProgramClass, stage: str) -> None:
-    if not program_in_class(program, cls):
+def _require(program: Program, cls: ProgramClass, stage: str) -> list[int]:
+    """The class value of each rule, once all are within ``cls``."""
+    ranks = [_rule_rank(r) for r in program.rules]
+    if ranks and max(ranks) > cls.value:
         raise StageInputError(
             f"{stage} expects a program in class {cls.name.lower()}")
+    return ranks
 
 
 def tr2(program: Program, table: AtomTable, *, polarity: bool = False,
@@ -136,31 +156,26 @@ def tr2(program: Program, table: AtomTable, *, polarity: bool = False,
     """
     _require(program, ProgramClass.NNF, "tr2")
 
+    # each subformula, in order of first occurrence, with its positions
     occurrences: dict[Expr, set[str]] = {}
-    order: list[Expr] = []
+    # per position, the subformulas seen there so far: a repeated subtree
+    # is looked up once, not once per node
+    seen: dict[str, set[Expr]] = {"head": set(), "body": set()}
     for rule in program.rules:
         for position, root in (("head", rule.head), ("body", rule.body)):
-            for sub in subformulas(root, ht_atomic=True):
-                if sub not in occurrences:
-                    occurrences[sub] = set()
-                    order.append(sub)
-                occurrences[sub].add(position)
+            for sub in _new_subformulas(root, True, seen[position]):
+                occurrences.setdefault(sub, set()).add(position)
 
-    def lab(expr: Expr) -> Expr:
-        if simplify and isinstance(expr, (Top, Bot)):
-            return expr
-        return Var(table.label(expr))
-
-    for sub in order:
-        lab(sub)
+    labelled = {sub: sub if simplify and isinstance(sub, (Top, Bot))
+                else Var(table.label(sub)) for sub in occurrences}
+    lab = labelled.__getitem__
 
     main = [Rule(lab(r.head), lab(r.body)) for r in program.rules]
     aux: list[Rule] = []
-    for sub in order:
+    for sub, where in occurrences.items():
         if simplify and isinstance(sub, (Top, Bot)):
             continue
         lv = lab(sub)
-        where = occurrences[sub]
         if is_ht_literal(sub):
             intro = [Rule(lv, sub)]
             elim = [Rule(sub, lv)]
@@ -204,14 +219,16 @@ def tr3(program: Program) -> Program:
     body literal ``not not q`` becomes a head literal ``not q``.  Head
     occurrences are removed left-to-right before body occurrences.
     """
-    _require(program, ProgramClass.GDLP_HT, "tr3")
+    ranks = _require(program, ProgramClass.GDLP_HT, "tr3")
+    ht = ProgramClass.GDLP_HT.value
     out = []
-    for rule in program.rules:
-        head_lits = disjuncts(rule.head)
-        body_lits = conjuncts(rule.body)
-        if not any(_is_double_negation(l) for l in head_lits + body_lits):
+    for rule, rank in zip(program.rules, ranks):
+        if rank < ht:
+            # a rule of literals only: no double negation to move
             out.append(rule)
             continue
+        head_lits = disjuncts(rule.head)
+        body_lits = conjuncts(rule.body)
         new_body = list(body_lits)
         new_head = []
         for lit in head_lits:
@@ -239,28 +256,29 @@ def tr4(program: Program, table: AtomTable) -> Program:
     becomes the bar atom of p, and the constraint ``:- p, n_p`` plus the
     rule ``n_p :- not p`` are appended once.
     """
-    _require(program, ProgramClass.GENERALIZED_DISJUNCTIVE, "tr4")
-    barred: list[Atom] = []
+    ranks = _require(program, ProgramClass.GENERALIZED_DISJUNCTIVE, "tr4")
+    generalized = ProgramClass.GENERALIZED_DISJUNCTIVE.value
+    # insertion-ordered, so the bar rules follow the first occurrences
+    barred: dict[Atom, Var] = {}
     rules = []
-    for rule in program.rules:
-        lits = disjuncts(rule.head)
-        if not any(isinstance(l, Not) and isinstance(l.child, Var) for l in lits):
+    for rule, rank in zip(program.rules, ranks):
+        if rank < generalized:
+            # disjunctive already: no negated head atom
             rules.append(rule)
             continue
         new_lits = []
-        for lit in lits:
+        for lit in disjuncts(rule.head):
             if isinstance(lit, Not) and isinstance(lit.child, Var):
                 atom = lit.child.atom
                 if atom not in barred:
-                    barred.append(atom)
-                new_lits.append(Var(table.bar(atom)))
+                    barred[atom] = Var(table.bar(atom))
+                new_lits.append(barred[atom])
             else:
                 new_lits.append(lit)
         rules.append(Rule(disjunction(new_lits), rule.body))
-    for atom in barred:
-        bar = table.bar(atom)
-        rules.append(Rule(BOT, And(Var(atom), Var(bar))))
-        rules.append(Rule(Var(bar), Not(Var(atom))))
+    for atom, bar in barred.items():
+        rules.append(Rule(BOT, And(Var(atom), bar)))
+        rules.append(Rule(bar, Not(Var(atom))))
     return Program(tuple(rules), program.alphabet)
 
 

@@ -138,7 +138,7 @@ def _canonical_expr(expr: Expr, inverse: dict[Atom, Expr]) -> str:
 
 
 def _canonical_rules(program: Program, table: AtomTable) -> frozenset[str]:
-    inverse = {atom: expr for expr, atom in table.labels.items()}
+    inverse = table.formulas
     return frozenset(
         _canonical_expr(r.head, inverse) + " <- " + _canonical_expr(r.body, inverse)
         for r in program.rules)

@@ -8,8 +8,12 @@ from nlp2dlp.cli import main
 
 CLOSING = "p. q. r v (p, q).\n"
 DEEP_INPUTS = {
-    "long_body": "p :- " + ", ".join(f"a{i}" for i in range(600)) + ".\n",
-    "stacked_not": "p :- " + "not " * 2000 + "q.\n",
+    "long_body": "p :- " + ", ".join(
+        f"not a{i}" if i % 2 else f"not not a{i}" for i in range(10_000)) + ".\n",
+    "stacked_not": "p :- " + "not " * 10_000 + "q.\n",
+    "nested_parens": "p :- " + "".join(
+        f"(not a{i} {'v' if i % 2 else ','} " for i in range(500))
+    + "q" + ")" * 500 + ".\n",
 }
 
 
@@ -147,8 +151,17 @@ def test_distributive_guard_exits_3(tmp_path, capsys, monkeypatch):
 
 
 @pytest.mark.parametrize("kind", sorted(DEEP_INPUTS))
-def test_too_deep_input_exits_3_with_one_line(kind):
-    code, _, err = run_cli(["translate"], DEEP_INPUTS[kind])
+def test_deep_input_translates(kind):
+    from nlp2dlp import ProgramClass, classify, parse
+    code, out, _ = run_cli(["translate"], DEEP_INPUTS[kind])
+    assert code == 0
+    assert classify(parse(out, allow_internal=True)) is ProgramClass.DISJUNCTIVE
+
+
+def test_oracle_on_too_deep_body_exits_3_with_one_line():
+    # the oracle's evaluators still recurse over the expression tree
+    body = ", ".join(("a", "not b")[i % 2] for i in range(2000))
+    code, _, err = run_cli(["check", "props"], f"p :- {body}.\n")
     assert code == 3
     assert err.startswith("resource error:") and len(err.splitlines()) == 1
 

@@ -1,9 +1,10 @@
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from nlp2dlp import (
-    TOP, And, Atom, AtomKind, Not, Or, Program, ProgramClass, Rule, Var,
-    bar_atom, classify, expr_size, label_atom, program_in_class, program_size,
-    subformulas, user_atom,
+    TOP, And, Atom, AtomKind, Bot, Not, Or, Program, ProgramClass, Rule,
+    Top, Var, bar_atom, classify, expr_size, format_expr, label_atom,
+    program_in_class, program_size, subformulas, user_atom,
 )
 from nlp2dlp.syntax import walk
 
@@ -86,3 +87,39 @@ def test_alphabet_covers_occurring_atoms():
     prog = Program((Rule(p, q),), alphabet=frozenset({user_atom("z")}))
     assert prog.var() == {p.atom, q.atom}
     assert prog.var() | {user_atom("z")} == prog.alphabet
+
+
+# expression blueprints: nested tuples, so that each draw can be built into
+# trees that share no node
+_blueprints = st.recursive(
+    st.sampled_from([("top",), ("bot",), ("var", "a"), ("var", "b")]),
+    lambda kids: st.one_of(
+        st.tuples(st.just("not"), kids),
+        st.tuples(st.sampled_from(["and", "or"]), kids, kids)),
+    max_leaves=6)
+
+
+def _build(blueprint):
+    kind, *args = blueprint
+    if kind == "top":
+        return Top()
+    if kind == "bot":
+        return Bot()
+    if kind == "var":
+        return Var(user_atom(args[0]))
+    if kind == "not":
+        return Not(_build(args[0]))
+    return (And if kind == "and" else Or)(*map(_build, args))
+
+
+@settings(max_examples=300, deadline=None)
+@given(x=_blueprints, y=_blueprints)
+def test_equality_and_hash_are_structural(x, y):
+    a, b = _build(x), _build(x)
+    assert a is not b
+    assert a == b and hash(a) == hash(b) and not a != b
+    c = _build(y)
+    assert (a == c) == (format_expr(a) == format_expr(c))
+    if a == c:
+        assert hash(a) == hash(c)
+    assert a != format_expr(a)
