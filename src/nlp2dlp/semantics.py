@@ -2,11 +2,23 @@
 here-and-there (HT) valuation, HT-models and equilibrium models.
 
 Everything works by explicit enumeration over a caller-supplied alphabet
-and is intended as a desk-scale oracle, not a solver.  Both engines are
-bit-parallel: classical truth over all 2^n interpretations is one big
-integer, and HT truth is a pair of them, the truth at H and at T, with
-one bit per subset H of a there-world T.  Answer sets come from reducts,
-equilibrium models from the HT engine alone, so each checks the other.
+and is intended as a desk-scale oracle, not a solver.
+
+Each call compiles the rules once into a flat plan: the distinct
+subformulas in post-order, one slot each, where structurally equal
+subtrees share a slot and each step reads only earlier slots.  Every
+evaluator is a loop over that plan, so none recurses, and each is
+bit-parallel.  Classical truth over all 2^n interpretations is one big
+integer per slot.  HT truth is a pair of them, the truth at H and at T,
+with one bit per subset H of a there-world T.  A rule is folded into the
+model bitmap as soon as its head and body slots are ready, and a slot's
+bitmap is released after its last reader.
+
+Answer sets come from reducts, equilibrium models from the HT engine
+alone, so each checks the other.  The stability check of a candidate I
+runs the classical loop over the subsets of I with every ``not`` fixed
+to the constant its child's value at I gives it: that is the reduct by
+I, evaluated without building it.
 """
 
 from __future__ import annotations
@@ -19,7 +31,7 @@ from typing import Iterable, Iterator
 from .errors import ResourceLimitError
 from .syntax import (
     BOT, TOP, And, Atom, Expr, Not, Or, Program, Rule, Top, Var,
-    negation_free, walk,
+    negation_free,
 )
 
 DEFAULT_CAP = 20
@@ -55,44 +67,107 @@ def _check_cap(alphabet: Iterable[Atom], cap: int) -> list[Atom]:
     return atoms
 
 
-def eval_classical(expr: Expr, interp: Interpretation) -> bool:
-    """Two-valued truth of an expression under a set of atoms."""
-    if isinstance(expr, Var):
-        return expr.atom in interp
-    if isinstance(expr, Not):
-        return not eval_classical(expr.child, interp)
-    if isinstance(expr, And):
-        return eval_classical(expr.left, interp) and \
-            eval_classical(expr.right, interp)
-    if isinstance(expr, Or):
-        return eval_classical(expr.left, interp) or \
-            eval_classical(expr.right, interp)
-    return isinstance(expr, Top)
+# plan step operators; the binary ones come last
+_VAR, _TOP, _BOT, _NOT, _AND, _OR = range(6)
 
 
-def _reduce_expr(expr: Expr, interp: Interpretation) -> Expr:
-    if isinstance(expr, Not):
-        # maximal negated subexpression: nested negations are untouched
-        return BOT if eval_classical(expr.child, interp) else TOP
-    if isinstance(expr, And):
-        return And(_reduce_expr(expr.left, interp),
-                   _reduce_expr(expr.right, interp))
-    if isinstance(expr, Or):
-        return Or(_reduce_expr(expr.left, interp),
-                  _reduce_expr(expr.right, interp))
-    return expr
+class _Plan:
+    """Rules compiled for the evaluators.
+
+    ``steps`` holds one ``(op, a, b, folds, drops)`` per slot, in
+    post-order: ``a`` is the index in ``atoms`` of a ``_VAR`` step's
+    atom and the first child slot otherwise, ``b`` the second child
+    slot; ``folds`` lists the (head, body) slot pairs of the rules ready
+    at this step, and ``drops`` the slots that this step or its folds
+    read last.  The evaluators take the atoms' values as a table in the
+    order of ``atoms``.  ``positive`` holds the atoms that occur outside
+    every ``not``.
+    """
+
+    __slots__ = ("steps", "atoms", "positive")
+
+    def __init__(self, steps: list[tuple], atoms: list[Atom],
+                 positive: frozenset[Atom]):
+        self.steps = steps
+        self.atoms = atoms
+        self.positive = positive
 
 
-def _reduce_rules(rules: Iterable[Rule],
-                  interp: Interpretation) -> tuple[Rule, ...]:
-    return tuple(Rule(_reduce_expr(r.head, interp), _reduce_expr(r.body, interp))
-                 for r in rules)
+def _compile(rules: Iterable[Rule]) -> _Plan:
+    slot_of: dict[Expr, int] = {}
+    atom_index: dict[Atom, int] = {}
+    ops: list[tuple[int, int, int]] = []
+    roots: list[tuple[int, int]] = []
+    for rule in rules:
+        for root in (rule.head, rule.body):
+            done: list[int] = []
+            stack: list[tuple[Expr, bool]] = [(root, False)]
+            while stack:
+                e, expanded = stack.pop()
+                if not expanded:
+                    slot = slot_of.get(e)
+                    if slot is not None:
+                        done.append(slot)
+                        continue
+                    stack.append((e, True))
+                    if isinstance(e, Not):
+                        stack.append((e.child, False))
+                    elif isinstance(e, (And, Or)):
+                        stack.append((e.right, False))
+                        stack.append((e.left, False))
+                    continue
+                if isinstance(e, Var):
+                    index = atom_index.setdefault(e.atom, len(atom_index))
+                    op = (_VAR, index, 0)
+                elif isinstance(e, Not):
+                    op = (_NOT, done.pop(), 0)
+                elif isinstance(e, (And, Or)):
+                    right = done.pop()
+                    binary = _AND if isinstance(e, And) else _OR
+                    op = (binary, done.pop(), right)
+                else:
+                    op = (_TOP if isinstance(e, Top) else _BOT, 0, 0)
+                slot_of[e] = len(ops)
+                done.append(len(ops))
+                ops.append(op)
+        roots.append((slot_of[rule.head], slot_of[rule.body]))
 
+    n = len(ops)
+    # a slot's last reader: the last step or rule fold that reads it
+    last = list(range(n))
+    for k, (op, a, b) in enumerate(ops):
+        if op == _NOT:
+            last[a] = k
+        elif op >= _AND:
+            last[a] = last[b] = k
+    folds: list[list[tuple[int, int]]] = [[] for _ in range(n)]
+    for head, body in roots:
+        k = max(head, body)
+        folds[k].append((head, body))
+        last[head] = max(last[head], k)
+        last[body] = max(last[body], k)
+    drops: list[list[int]] = [[] for _ in range(n)]
+    for slot, k in enumerate(last):
+        drops[k].append(slot)
 
-def reduct(program: Program, interp: Interpretation) -> Program:
-    """Negation-free program obtained by fixing negated subexpressions
-    to their classical truth value under ``interp``."""
-    return Program(_reduce_rules(program.rules, interp), program.alphabet)
+    # slots reached from a head or body through conjunction and
+    # disjunction only; children precede their parents
+    outside = [False] * n
+    for head, body in roots:
+        outside[head] = outside[body] = True
+    atoms = list(atom_index)
+    positive = set()
+    for k in range(n - 1, -1, -1):
+        if outside[k]:
+            op, a, b = ops[k]
+            if op == _VAR:
+                positive.add(atoms[a])
+            elif op >= _AND:
+                outside[a] = outside[b] = True
+
+    steps = [(op, a, b, tuple(folds[k]), tuple(drops[k]))
+             for k, (op, a, b) in enumerate(ops)]
+    return _Plan(steps, atoms, frozenset(positive))
 
 
 @lru_cache(maxsize=None)
@@ -108,50 +183,139 @@ def _atom_pattern(n: int, j: int) -> int:
     return pat
 
 
-def _expr_bitmap(expr: Expr, table: dict[Atom, int], full: int) -> int:
-    if isinstance(expr, Var):
-        return table.get(expr.atom, 0)
-    if isinstance(expr, Not):
-        return full ^ _expr_bitmap(expr.child, table, full)
-    if isinstance(expr, And):
-        return _expr_bitmap(expr.left, table, full) & \
-            _expr_bitmap(expr.right, table, full)
-    if isinstance(expr, Or):
-        return _expr_bitmap(expr.left, table, full) | \
-            _expr_bitmap(expr.right, table, full)
-    return full if isinstance(expr, Top) else 0
+def _full(n: int) -> int:
+    """Bitmap of all 2^n interpretations of n atoms."""
+    return (1 << (1 << n)) - 1
 
 
-def _models_bitmap(rules: Iterable[Rule], atoms: list[Atom]) -> int:
-    """Bitmap of classical models of {B(r) -> H(r)} over the atom list."""
-    n = len(atoms)
-    full = (1 << (1 << n)) - 1
-    table = {atom: _atom_pattern(n, j) for j, atom in enumerate(atoms)}
-    bm = full
-    for r in rules:
-        bm &= (full ^ _expr_bitmap(r.body, table, full)) | \
-            _expr_bitmap(r.head, table, full)
-        if not bm:
-            break
+def _places(plan: _Plan, atoms: list[Atom]) -> list[int]:
+    """Position in ``atoms`` of each atom of the plan, -1 if absent."""
+    position = {atom: j for j, atom in enumerate(atoms)}
+    return [position.get(atom, -1) for atom in plan.atoms]
+
+
+def _subset_table(places: list[int], index: int) -> list[int]:
+    """Bitmap of each atom of a plan over the subsets of the alphabet
+    atoms picked by the bits of ``index``, in the bit order of
+    ``_atom_pattern``; 0 for an atom not picked.  ``places`` are the
+    atoms' positions in the alphabet."""
+    k = index.bit_count()
+    return [_atom_pattern(k, (index & ((1 << j) - 1)).bit_count())
+            if j >= 0 and (index >> j) & 1 else 0 for j in places]
+
+
+def _models_bitmap(plan: _Plan, table: list[int], full: int,
+                   top: int = 0) -> int:
+    """Bitmap of the classical models of {B(r) -> H(r)}; ``table``
+    holds the bitmaps of the plan's atoms.
+
+    With ``top`` set to the bit of I, over a table of the subsets of I,
+    each ``not`` takes the constant that its child's value at I, the top
+    bit of the child's bitmap, gives it: the rules are then the reduct
+    by I, and the bitmap is that of its models among the proper subsets
+    of I.
+    """
+    vals: list[int | None] = []
+    bm = full ^ top
+    if not bm:
+        return 0
+    for op, a, b, folds, drops in plan.steps:
+        if op == _VAR:
+            v = table[a]
+        elif op == _AND:
+            v = vals[a] & vals[b]
+        elif op == _OR:
+            v = vals[a] | vals[b]
+        elif op == _NOT:
+            if top:
+                v = 0 if vals[a] >= top else full
+            else:
+                v = full ^ vals[a]
+        else:
+            v = full if op == _TOP else 0
+        vals.append(v)
+        if folds:
+            for head, body in folds:
+                bm &= (full ^ vals[body]) | vals[head]
+            if not bm:
+                return 0
+        for slot in drops:
+            vals[slot] = None
     return bm
 
 
+def eval_classical(expr: Expr, interp: Interpretation) -> bool:
+    """Two-valued truth of an expression under a set of atoms."""
+    # the rule "expr :- true" holds exactly where expr does
+    plan = _compile((Rule(expr, TOP),))
+    table = [int(a in interp) for a in plan.atoms]
+    return _models_bitmap(plan, table, 1) == 1
+
+
+def _reduce_expr(expr: Expr, interp: Interpretation) -> Expr:
+    done: list[Expr] = []
+    # inputs still to reduce, last first, and the connective that joins
+    # the last two results
+    todo: list[Expr | type[Expr]] = [expr]
+    while todo:
+        e = todo.pop()
+        if isinstance(e, type):
+            right = done.pop()
+            done.append(e(done.pop(), right))
+        elif isinstance(e, Not):
+            # maximal negated subexpression: nested negations are untouched
+            done.append(BOT if eval_classical(e.child, interp) else TOP)
+        elif isinstance(e, (And, Or)):
+            todo += (type(e), e.right, e.left)
+        else:
+            done.append(e)
+    return done.pop()
+
+
+def reduct(program: Program, interp: Interpretation) -> Program:
+    """Negation-free program obtained by fixing negated subexpressions
+    to their classical truth value under ``interp``."""
+    return Program(tuple(Rule(_reduce_expr(r.head, interp),
+                              _reduce_expr(r.body, interp))
+                         for r in program.rules), program.alphabet)
+
+
+_WORD = 1 << 12
+
+
 def _iter_bits(bm: int) -> Iterator[int]:
-    while bm:
-        low = bm & -bm
-        yield low.bit_length() - 1
-        bm ^= low
+    """Indices of the set bits, ascending, word by word: each step costs
+    the size of a word, not of the bitmap."""
+    data = bm.to_bytes((bm.bit_length() + 7) // 8, "little")
+    size = _WORD // 8
+    for start in range(0, len(data), size):
+        word = int.from_bytes(data[start:start + size], "little")
+        base = start * 8
+        while word:
+            low = word & -word
+            yield base + low.bit_length() - 1
+            word ^= low
+
+
+def _picked(index: int, atoms: list[Atom]) -> list[Atom]:
+    return [a for j, a in enumerate(atoms) if (index >> j) & 1]
 
 
 def _index_to_interp(index: int, atoms: list[Atom]) -> Interpretation:
-    return frozenset(a for j, a in enumerate(atoms) if (index >> j) & 1)
+    return frozenset(_picked(index, atoms))
+
+
+def _models(program: Program, atoms: list[Atom]) -> int:
+    plan = _compile(program.rules)
+    table = _subset_table(_places(plan, atoms), (1 << len(atoms)) - 1)
+    return _models_bitmap(plan, table, _full(len(atoms)))
 
 
 def classical_models(program: Program, alphabet: Iterable[Atom],
                      cap: int = DEFAULT_CAP) -> frozenset[Interpretation]:
     atoms = _check_cap(alphabet, cap)
-    bm = _models_bitmap(program.rules, atoms)
-    return frozenset(_index_to_interp(i, atoms) for i in _iter_bits(bm))
+    return frozenset(_index_to_interp(i, atoms)
+                     for i in _iter_bits(_models(program, atoms)))
 
 
 def minimal_models(program: Program, alphabet: Iterable[Atom],
@@ -161,8 +325,8 @@ def minimal_models(program: Program, alphabet: Iterable[Atom],
                for r in program.rules):
         raise ValueError("minimal_models requires a negation-free program")
     atoms = _check_cap(alphabet, cap)
-    bm = _models_bitmap(program.rules, atoms)
-    indices = sorted(_iter_bits(bm), key=lambda i: (i.bit_count(), i))
+    indices = sorted(_iter_bits(_models(program, atoms)),
+                     key=lambda i: (i.bit_count(), i))
     minimal: list[int] = []
     for i in indices:
         if not any(m & i == m for m in minimal):
@@ -170,17 +334,13 @@ def minimal_models(program: Program, alphabet: Iterable[Atom],
     return frozenset(_index_to_interp(i, atoms) for i in minimal)
 
 
-def _is_stable(program: Program, interp: Interpretation) -> bool:
-    rules = _reduce_rules(program.rules, interp)
-    used = {n.atom for r in rules for e in (r.head, r.body) for n in walk(e)
-            if isinstance(n, Var)}
-    if not interp <= used:
-        # an atom unused by the reduct can be dropped: not minimal
-        return False
-    atoms = sorted(interp)
-    bm = _models_bitmap(rules, atoms)
-    # interp is the all-true index; stable iff no proper subset is a model
-    return bm & ((1 << ((1 << len(atoms)) - 1)) - 1) == 0
+def _is_stable(plan: _Plan, places: list[int], index: int) -> bool:
+    """No proper subset of the candidate I picked by ``index`` is a model
+    of the reduct by I; I itself is one, as it is a classical model of
+    the rules."""
+    top = 1 << ((1 << index.bit_count()) - 1)
+    table = _subset_table(places, index)
+    return _models_bitmap(plan, table, (top << 1) - 1, top) == 0
 
 
 def answer_sets(program: Program, alphabet: Iterable[Atom],
@@ -188,79 +348,94 @@ def answer_sets(program: Program, alphabet: Iterable[Atom],
     """All I within the alphabet that are minimal models of the reduct
     of the program with respect to I."""
     atoms = _check_cap(alphabet, cap)
+    plan = _compile(program.rules)
+    places = _places(plan, atoms)
     # only classical models of the rule implications are candidates
-    bm = _models_bitmap(program.rules, atoms)
-    candidates = (_index_to_interp(i, atoms) for i in _iter_bits(bm))
-    return frozenset(c for c in candidates if _is_stable(program, c))
+    bm = _models_bitmap(plan, _subset_table(places, (1 << len(atoms)) - 1),
+                        _full(len(atoms)))
+    # an atom the reduct does not use can be dropped from I: not minimal
+    unused = sum(1 << j for j, a in enumerate(atoms) if a not in plan.positive)
+    return frozenset(_index_to_interp(i, atoms) for i in _iter_bits(bm)
+                     if not i & unused and _is_stable(plan, places, i))
 
 
-def _ht_bits(expr: Expr, table: dict[Atom, tuple[int, int]],
-             full: int) -> tuple[int, int]:
-    """Truth at H and at T of an expression over a batch of HT pairs
-    sharing one there-world; ``table`` maps atoms to their (H, T) bits."""
-    if isinstance(expr, Var):
-        return table.get(expr.atom, (0, 0))
-    if isinstance(expr, Not):
-        # not f holds at H iff f fails at H and at T
-        h, t = _ht_bits(expr.child, table, full)
-        return full ^ (h | t), full ^ t
-    if isinstance(expr, (And, Or)):
-        lh, lt = _ht_bits(expr.left, table, full)
-        rh, rt = _ht_bits(expr.right, table, full)
-        if isinstance(expr, And):
-            return lh & rh, lt & rt
-        return lh | rh, lt | rt
-    return (full, full) if isinstance(expr, Top) else (0, 0)
+_FALSE_HT = (0, 0)
 
 
-def _ht_holds(rules: Iterable[Rule], table: dict[Atom, tuple[int, int]],
-              full: int) -> int:
-    """Bitmap of the pairs whose H world satisfies every B(r) -> H(r)."""
+def _ht_holds(plan: _Plan, table: list[tuple[int, int]], full: int) -> int:
+    """Bitmap of the pairs whose H world satisfies every B(r) -> H(r),
+    over a batch of HT pairs sharing one there-world; ``table`` holds
+    the (H, T) bits of the plan's atoms."""
+    hs: list[int | None] = []
+    ts: list[int | None] = []
     bm = full
-    for r in rules:
-        bh, bt = _ht_bits(r.body, table, full)
-        hh, ht = _ht_bits(r.head, table, full)
-        # clause for ->: true at H iff it holds at H and at T
-        bm &= ((full ^ bh) | hh) & ((full ^ bt) | ht)
-        if not bm:
-            break
+    for op, a, b, folds, drops in plan.steps:
+        if op == _VAR:
+            h, t = table[a]
+        elif op == _AND:
+            h, t = hs[a] & hs[b], ts[a] & ts[b]
+        elif op == _OR:
+            h, t = hs[a] | hs[b], ts[a] | ts[b]
+        elif op == _NOT:
+            # not f holds at H iff f fails at H and at T
+            h, t = full ^ (hs[a] | ts[a]), full ^ ts[a]
+        else:
+            h = t = full if op == _TOP else 0
+        hs.append(h)
+        ts.append(t)
+        if folds:
+            for head, body in folds:
+                # clause for ->: true at H iff it holds at H and at T
+                bm &= ((full ^ hs[body]) | hs[head]) & \
+                    ((full ^ ts[body]) | ts[head])
+            if not bm:
+                return 0
+        for slot in drops:
+            hs[slot] = ts[slot] = None
     return bm
 
 
-def _ht_blocks(rules: tuple[Rule, ...], atoms: list[Atom]
-               ) -> Iterator[tuple[list[Atom], int]]:
-    """For each there-world T: its atoms and the bitmap of HT-models <H, T>,
-    bit i for the H picked from T by the bits of i; <T, T> is the top bit."""
+def _ht_blocks(plan: _Plan, atoms: list[Atom]) -> Iterator[tuple[int, int]]:
+    """For each there-world T, picked from the atoms by the bits of t: t
+    and the bitmap of HT-models <H, T>, bit i for the H picked from T by
+    the bits of i; <T, T> is the top bit."""
+    places = _places(plan, atoms)
     for t in range(1 << len(atoms)):
-        there = [a for j, a in enumerate(atoms) if (t >> j) & 1]
-        k = len(there)
-        full = (1 << (1 << k)) - 1
-        table = {a: (_atom_pattern(k, j), full) for j, a in enumerate(there)}
-        yield there, _ht_holds(rules, table, full)
+        full = _full(t.bit_count())
+        table = [(bits, full) if bits else _FALSE_HT
+                 for bits in _subset_table(places, t)]
+        yield t, _ht_holds(plan, table, full)
 
 
-def _pair_table(f: HTInterpretation) -> dict[Atom, tuple[int, int]]:
-    return {a: (int(a in f.here), 1) for a in f.there}
+def _pair_table(plan: _Plan, here: Interpretation, there: Interpretation
+                ) -> list[tuple[int, int]]:
+    return [(int(a in here), int(a in there)) for a in plan.atoms]
 
 
 def eval_ht(expr: Expr, f: HTInterpretation, w: World) -> bool:
     """Truth of an expression at a world of an HT-interpretation."""
-    h, t = _ht_bits(expr, _pair_table(f), 1)
-    return bool(h if w is World.H else t)
+    # "expr :- true" holds at H exactly where expr does, and the T world
+    # of <H, T> is the H world of <T, T>
+    here = f.here if w is World.H else f.there
+    plan = _compile((Rule(expr, TOP),))
+    return _ht_holds(plan, _pair_table(plan, here, f.there), 1) == 1
 
 
 def is_ht_model(program: Program, f: HTInterpretation) -> bool:
     """F satisfies B(r) -> H(r) at H for every rule."""
-    return _ht_holds(program.rules, _pair_table(f), 1) == 1
+    plan = _compile(program.rules)
+    return _ht_holds(plan, _pair_table(plan, f.here, f.there), 1) == 1
 
 
 def ht_models(program: Program, alphabet: Iterable[Atom],
               cap: int = DEFAULT_CAP) -> frozenset[HTInterpretation]:
     atoms = _check_cap(alphabet, cap)
-    return frozenset(
-        HTInterpretation(_index_to_interp(i, there), frozenset(there))
-        for there, bm in _ht_blocks(program.rules, atoms)
-        for i in _iter_bits(bm))
+    models = set()
+    for t, bm in _ht_blocks(_compile(program.rules), atoms):
+        there = _picked(t, atoms)
+        models.update(HTInterpretation(_index_to_interp(i, there), there)
+                      for i in _iter_bits(bm))
+    return frozenset(models)
 
 
 def ht_equivalent(p1: Program, p2: Program, alphabet: Iterable[Atom],
@@ -271,7 +446,8 @@ def ht_equivalent(p1: Program, p2: Program, alphabet: Iterable[Atom],
         raise ValueError("alphabet must cover both programs")
     atom_list = _check_cap(atoms, cap)
     return all(bm1 == bm2 for (_, bm1), (_, bm2) in zip(
-        _ht_blocks(p1.rules, atom_list), _ht_blocks(p2.rules, atom_list)))
+        _ht_blocks(_compile(p1.rules), atom_list),
+        _ht_blocks(_compile(p2.rules), atom_list)))
 
 
 def equilibrium_models(program: Program, alphabet: Iterable[Atom],
@@ -279,5 +455,6 @@ def equilibrium_models(program: Program, alphabet: Iterable[Atom],
     """Total HT-models <I,I> with no <J,I>, J a proper subset, a model."""
     atoms = _check_cap(alphabet, cap)
     return frozenset(
-        frozenset(there) for there, bm in _ht_blocks(program.rules, atoms)
-        if bm == 1 << ((1 << len(there)) - 1))
+        _index_to_interp(t, atoms)
+        for t, bm in _ht_blocks(_compile(program.rules), atoms)
+        if bm == 1 << ((1 << t.bit_count()) - 1))

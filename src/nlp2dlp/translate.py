@@ -335,15 +335,26 @@ def _normal_form(expr: Expr, outer: type[Expr],
                  budget: _NodeBudget) -> list[list[Expr]]:
     """Literal lists joined by ``outer`` at the top and by its dual
     inside: DNF terms for ``Or``, CNF clauses for ``And``."""
-    if is_ht_literal(expr):
-        budget.charge(1)
-        return [[expr]]
-    left = _normal_form(expr.left, outer, budget)
-    right = _normal_form(expr.right, outer, budget)
-    if isinstance(expr, outer):
-        return left + right
-    budget.charge(sum(len(a) + len(b) for a in left for b in right))
-    return [a + b for a in left for b in right]
+    done: list[list[list[Expr]]] = []
+    # inputs still to expand, last first, and the connective that joins
+    # the last two results
+    todo: list[Expr | type[Expr]] = [expr]
+    while todo:
+        e = todo.pop()
+        if isinstance(e, type):
+            right = done.pop()
+            left = done.pop()
+            if e is outer:
+                done.append(left + right)
+            else:
+                budget.charge(sum(len(a) + len(b) for a in left for b in right))
+                done.append([a + b for a in left for b in right])
+        elif is_ht_literal(e):
+            budget.charge(1)
+            done.append([[e]])
+        else:
+            todo += (type(e), e.right, e.left)
+    return done.pop()
 
 
 def translate_distributive(program: Program, max_nodes: int = 1_000_000

@@ -158,10 +158,29 @@ def test_deep_input_translates(kind):
     assert classify(parse(out, allow_internal=True)) is ProgramClass.DISJUNCTIVE
 
 
-def test_oracle_on_too_deep_body_exits_3_with_one_line():
-    # the oracle's evaluators still recurse over the expression tree
+def test_oracle_on_deep_body(tmp_path):
     body = ", ".join(("a", "not b")[i % 2] for i in range(2000))
-    code, _, err = run_cli(["check", "props"], f"p :- {body}.\n")
+    deep = f"p :- {body}.\n"
+    code, out, _ = run_cli(["check", "props"], deep)
+    assert code == 0 and out.endswith("yes\n")
+    code, out, _ = run_cli(["solve"], deep)
+    assert code == 0 and out == "{}\n"
+    second = tmp_path / "second.lp"
+    second.write_text("q :- not p.\n")
+    code, out, _ = run_cli(["check", "modular", "-j", str(second)], deep)
+    assert code == 0 and out == "modular: yes\n"
+    literals = ", ".join(("a", "not b")[i % 2] for i in range(1000))
+    code, _, _ = run_cli(["translate", "--mode", "distributive"],
+                         f"p :- {literals}.\n")
+    assert code == 0
+
+
+def test_recursion_error_exits_3_with_one_line(capsys, monkeypatch):
+    def too_deep(args):
+        raise RecursionError("maximum recursion depth exceeded")
+
+    monkeypatch.setattr("nlp2dlp.cli._cmd_solve", too_deep)
+    code, _, err = call_main(["solve"], "p.", capsys, monkeypatch)
     assert code == 3
     assert err.startswith("resource error:") and len(err.splitlines()) == 1
 

@@ -1,15 +1,18 @@
+import random
+
 import pytest
 
 from nlp2dlp import (
     BOT, TOP, And, HTInterpretation, Not, Or, Program, ResourceLimitError,
     Rule, Var, World, answer_sets, classical_models, equilibrium_models,
-    eval_classical, eval_ht, ht_equivalent, ht_models, is_ht_model,
-    minimal_models, parse, reduct, user_atom,
+    eval_classical, eval_ht, format_expr, ht_equivalent, ht_models,
+    is_ht_model, minimal_models, parse, parse_expression, reduct,
+    subformulas, user_atom,
 )
 from nlp2dlp.syntax import negation_free
 
 from naive_oracle import (
-    naive_answer_sets, naive_equilibrium_models, naive_ht_models,
+    is_model, naive_answer_sets, naive_equilibrium_models, naive_ht_models,
     naive_minimal_models, subsets,
 )
 
@@ -179,6 +182,49 @@ def test_proposition_1_on_corpus(corpus):
         alphabet = program.alphabet
         assert answer_sets(program, alphabet) == \
             equilibrium_models(program, alphabet)
+
+
+def _with_shared_subtrees(program, rng):
+    """The program plus rules that reuse its subformulas, both as the same
+    objects and as structurally equal copies, inside and outside ``not``."""
+    subs = [s for r in program.rules for e in (r.head, r.body)
+            for s in subformulas(e)]
+    rules = list(program.rules)
+    for _ in range(2):
+        s, t = rng.choice(subs), rng.choice(subs)
+        copy = parse_expression(format_expr(s))
+        rules.append(Rule(s, And(Not(copy), t)))
+        rules.append(Rule(Or(parse_expression(format_expr(t)), Not(s)),
+                          Not(Not(t))))
+    return Program(tuple(rules), program.alphabet)
+
+
+def test_shared_subtrees_match_naive_oracle(corpus):
+    rng = random.Random(4)
+    for program in corpus[:60]:
+        shared = _with_shared_subtrees(program, rng)
+        alphabet = shared.alphabet
+        rules = [(r.head, r.body) for r in shared.rules]
+        assert classical_models(shared, alphabet) == frozenset(
+            i for i in subsets(alphabet) if is_model(rules, i))
+        assert answer_sets(shared, alphabet) == \
+            naive_answer_sets(shared, alphabet)
+        assert {(f.here, f.there) for f in ht_models(shared, alphabet)} == \
+            naive_ht_models(shared, alphabet)
+        assert equilibrium_models(shared, alphabet) == \
+            naive_equilibrium_models(shared, alphabet)
+
+
+def test_evaluators_on_deep_negation_chain():
+    chain = p
+    for _ in range(10_000):
+        chain = Not(chain)
+    assert eval_classical(chain, frozenset({pa}))
+    assert not eval_classical(Not(chain), frozenset({pa}))
+    f = HTInterpretation(EMPTY, frozenset({pa}))
+    # an even chain is not not p: true at H because p holds at T
+    assert eval_ht(chain, f, World.H) and not eval_ht(p, f, World.H)
+    assert not eval_ht(Not(chain), f, World.T)
 
 
 def test_enumeration_cap_is_enforced():
