@@ -6,13 +6,15 @@ answer sets), ``check`` (faithfulness / strong faithfulness / modularity
 CSV) and ``gen`` (seeded program generation).
 
 Exit status: 0 success, 1 check mismatch, 2 parse or flag errors,
-3 resource errors (cap, guard, or input nested too deeply).
+3 resource errors (cap, guard, or input nested too deeply), 4 any other
+error, an internal one, reported with its traceback.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
+import traceback
 
 from .errors import (
     NotDisjunctiveError, ParseError, ResourceLimitError, StageInputError,
@@ -225,6 +227,10 @@ def main(argv: list[str] | None = None) -> int:
     except (NotDisjunctiveError, StageInputError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except Exception as exc:
+        traceback.print_exc()
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 4
 
 
 def entry() -> None:

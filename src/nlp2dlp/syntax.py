@@ -6,11 +6,11 @@ body ``true`` and constraints carry head ``false``.  The alphabet is
 partitioned into user atoms, generated labels (``l_<index>``) and bar
 atoms (``n_<atom>``) standing for negated heads.
 
-Every node stores its structural hash, so hashing and unequal
-comparisons cost O(1) whatever the size of the tree.  Every traversal
-keeps an explicit stack instead of recursing, so a long rule body or a
-deep nesting costs time linear in its size and never meets Python's
-recursion limit.
+Every node stores its structural hash and its node count, so hashing,
+unequal comparisons and sizes cost O(1) whatever the size of the tree.
+Every traversal keeps an explicit stack instead of recursing, so a long
+rule body or a deep nesting costs time linear in its size and never
+meets Python's recursion limit.
 """
 
 from __future__ import annotations
@@ -83,13 +83,14 @@ def bar_atom(atom: Atom) -> Atom:
 class Expr:
     """Base of the expression nodes.
 
-    Nodes are immutable once built.  Each stores its structural hash,
-    computed once in ``__init__`` from the hashes its children already
-    store, so hashing is O(1) and unequal hashes settle ``==`` at once;
-    only equal-looking trees are compared field by field.
+    Nodes are immutable once built.  Each stores its structural hash and
+    its node count, computed once in ``__init__`` from what its children
+    already store, so hashing and sizing are O(1) and unequal hashes
+    settle ``==`` at once; only equal-looking trees are compared field by
+    field.
     """
 
-    __slots__ = ("_hash",)
+    __slots__ = ("_hash", "_size")
 
     def __hash__(self) -> int:
         return self._hash
@@ -144,6 +145,7 @@ class Top(Expr):
 
     def __init__(self):
         self._hash = hash((_TOP,))
+        self._size = 1
 
 
 class Bot(Expr):
@@ -151,6 +153,7 @@ class Bot(Expr):
 
     def __init__(self):
         self._hash = hash((_BOT,))
+        self._size = 1
 
 
 class Var(Expr):
@@ -159,6 +162,7 @@ class Var(Expr):
     def __init__(self, atom: Atom):
         self.atom = atom
         self._hash = hash((_VAR, atom.name))
+        self._size = 1
 
 
 class Not(Expr):
@@ -167,6 +171,7 @@ class Not(Expr):
     def __init__(self, child: Expr):
         self.child = child
         self._hash = hash((_NOT, child._hash))
+        self._size = child._size + 1
 
 
 class And(Expr):
@@ -176,6 +181,7 @@ class And(Expr):
         self.left = left
         self.right = right
         self._hash = hash((_AND, left._hash, right._hash))
+        self._size = left._size + right._size + 1
 
 
 class Or(Expr):
@@ -185,6 +191,7 @@ class Or(Expr):
         self.left = left
         self.right = right
         self._hash = hash((_OR, left._hash, right._hash))
+        self._size = left._size + right._size + 1
 
 
 TOP = Top()
@@ -253,21 +260,7 @@ def walk(expr: Expr) -> Iterator[Expr]:
 
 
 def expr_size(expr: Expr) -> int:
-    return _node_count((expr,))
-
-
-def _node_count(exprs: Iterable[Expr]) -> int:
-    count = 0
-    stack = list(exprs)
-    while stack:
-        e = stack.pop()
-        count += 1
-        if isinstance(e, Not):
-            stack.append(e.child)
-        elif isinstance(e, (And, Or)):
-            stack.append(e.left)
-            stack.append(e.right)
-    return count
+    return expr._size
 
 
 def expr_atoms(expr: Expr) -> frozenset[Atom]:
@@ -359,6 +352,17 @@ class Program:
         object.__setattr__(self, "_var", occurring)
         object.__setattr__(self, "alphabet", frozenset(self.alphabet) | occurring)
 
+    @classmethod
+    def _derived(cls, rules: tuple[Rule, ...], alphabet: frozenset[Atom],
+                 occurring: frozenset[Atom]) -> "Program":
+        """A program whose occurring atoms are already known to be exactly
+        ``occurring``, built without walking its rules."""
+        program = object.__new__(cls)
+        object.__setattr__(program, "rules", rules)
+        object.__setattr__(program, "_var", occurring)
+        object.__setattr__(program, "alphabet", alphabet | occurring)
+        return program
+
     def var(self) -> frozenset[Atom]:
         """Atoms actually occurring in the rules."""
         return self._var
@@ -366,7 +370,10 @@ class Program:
     def union(self, other: "Program") -> "Program":
         seen = set(self.rules)
         extra = tuple(r for r in other.rules if r not in seen)
-        return Program(self.rules + extra, self.alphabet | other.alphabet)
+        # a rule left out equals one kept, so it adds no atom
+        return Program._derived(self.rules + extra,
+                                self.alphabet | other.alphabet,
+                                self._var | other._var)
 
     def __len__(self) -> int:
         return len(self.rules)
@@ -398,8 +405,20 @@ def _rule_rank(rule: Rule) -> int:
 def _read_rank(rule: Rule) -> int:
     """``_rule_rank``, read off the head disjuncts and body conjuncts in
     one pass."""
+    # the commonest shapes of a staged rule: ``a :- b``, ``a :- b, c``
+    # and ``a v b :- c``, over atoms or truth constants
+    head, body = rule.head, rule.body
+    if isinstance(head, _ATOMIC):
+        if isinstance(body, _ATOMIC) or isinstance(body, And) \
+                and isinstance(body.left, _ATOMIC) \
+                and isinstance(body.right, _ATOMIC):
+            return _BASIC
+    elif isinstance(head, Or) and isinstance(body, _ATOMIC) \
+            and isinstance(head.left, _ATOMIC) \
+            and isinstance(head.right, _ATOMIC):
+        return _BASIC
     rank = _BASIC
-    for root, op in ((rule.head, Or), (rule.body, And)):
+    for root, op in ((head, Or), (body, And)):
         for e in _leaves(root, op) if isinstance(root, op) else (root,):
             if isinstance(e, _ATOMIC):
                 continue
@@ -466,5 +485,5 @@ def _new_subformulas(expr: Expr, ht_atomic: bool, seen: set[Expr]
 
 def program_size(program: Program) -> int:
     """Total node count over all heads and bodies, plus the rule count."""
-    return _node_count(e for r in program.rules for e in (r.head, r.body)) \
+    return sum(r.head._size + r.body._size for r in program.rules) \
         + len(program.rules)

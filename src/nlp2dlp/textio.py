@@ -28,63 +28,60 @@ from .syntax import (
     _rule_rank,
 )
 
+# whitespace and comments, then a token (group 1), a character that
+# starts none (group 2) or the end of the text
 _TOKEN_RE = re.compile(
-    r"""(?P<ws>[ \t\r]+)
-      | (?P<comment>%[^\n]*)
-      | (?P<nl>\n)
-      | (?P<arrow>:-)
-      | (?P<ident>[A-Za-z_][A-Za-z0-9_]*)
-      | (?P<punct>[().,;&|-])
+    r"""(?: [ \t\r\n]+ | %[^\n]* )*
+        (?: ( :- | [A-Za-z_][A-Za-z0-9_]* | [().,;&|-] ) | (.) | \Z )
     """,
     re.VERBOSE,
 )
 
-_KEYWORDS = {"not": "not", "true": "true", "false": "false"}
-_PUNCT = {
+# token kind of each keyword and punctuation lexeme; any other lexeme
+# matched as a token is an identifier
+_KINDS = {
+    "not": "not", "true": "true", "false": "false", ":-": "arrow",
     ".": "dot", "(": "lparen", ")": "rparen", ",": "and", "&": "and",
     ";": "or", "|": "or", "-": "not",
 }
 
 
 class Token(NamedTuple):
+    """A lexeme, its kind and its offset in the text; the line and the
+    column are worked out from the offset only for an error message."""
+
     kind: str
     text: str
-    line: int
-    col: int
+    pos: int
+
+
+def _error(message: str, text: str, origin: str, pos: int) -> ParseError:
+    """A ``ParseError`` at the offset ``pos`` of ``text``, with its 1-based
+    line and column."""
+    line_start = text.rfind("\n", 0, pos) + 1
+    return ParseError(message, origin, text.count("\n", 0, line_start) + 1,
+                      pos - line_start + 1)
 
 
 def _tokenize(text: str, origin: str) -> list[Token]:
     tokens = []
-    line, col, pos = 1, 1, 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if m is None:
-            raise ParseError(f"unexpected character {text[pos]!r}",
-                             origin, line, col)
-        kind = m.lastgroup
-        lexeme = m.group()
-        if kind == "nl":
-            line += 1
-            col = 1
-        elif kind in ("ws", "comment"):
-            col += len(lexeme)
-        else:
-            if kind == "arrow":
-                tok_kind = "arrow"
-            elif kind == "ident":
-                tok_kind = _KEYWORDS.get(lexeme, "ident")
-            else:
-                tok_kind = _PUNCT[lexeme]
-            tokens.append(Token(tok_kind, lexeme, line, col))
-            col += len(lexeme)
-        pos = m.end()
-    tokens.append(Token("eof", "", line, col))
+    kinds = _KINDS
+    for m in _TOKEN_RE.finditer(text):
+        lexeme = m[1]
+        if lexeme is None:
+            if m[2] is not None:
+                raise _error(f"unexpected character {m[2]!r}", text, origin,
+                             m.start(2))
+            break
+        tokens.append(Token(kinds.get(lexeme, "ident"), lexeme, m.start(1)))
+    tokens.append(Token("eof", "", len(text)))
     return tokens
 
 
 class _Parser:
-    def __init__(self, tokens: list[Token], origin: str, allow_internal: bool):
-        self.tokens = tokens
+    def __init__(self, text: str, origin: str, allow_internal: bool):
+        self.text = text
+        self.tokens = _tokenize(text, origin)
         self.pos = 0
         self.origin = origin
         self.allow_internal = allow_internal
@@ -101,7 +98,7 @@ class _Parser:
 
     def error(self, message: str, tok: Token | None = None) -> ParseError:
         tok = tok or self.peek()
-        return ParseError(message, self.origin, tok.line, tok.col)
+        return _error(message, self.text, self.origin, tok.pos)
 
     def expect(self, kind: str, what: str) -> Token:
         if self.peek().kind != kind:
@@ -112,7 +109,9 @@ class _Parser:
         rules = []
         while self.peek().kind != "eof":
             rules.append(self.rule())
-        return Program(tuple(rules))
+        # every node in ``vars`` was placed in a rule
+        return Program._derived(tuple(rules), frozenset(), frozenset(
+            node.atom for node in self.vars.values()))
 
     def rule(self) -> Rule:
         tok = self.peek()
@@ -222,12 +221,12 @@ def parse(text: str, origin: str = "<string>",
     ``allow_internal`` admits label (``l_``) and bar (``n_``) atoms, as
     needed to re-read translated output; user input rejects them.
     """
-    return _Parser(_tokenize(text, origin), origin, allow_internal).program()
+    return _Parser(text, origin, allow_internal).program()
 
 
 def parse_expression(text: str, origin: str = "<string>",
                      allow_internal: bool = False) -> Expr:
-    parser = _Parser(_tokenize(text, origin), origin, allow_internal)
+    parser = _Parser(text, origin, allow_internal)
     e = parser.expr()
     parser.expect("eof", "end of input")
     return e

@@ -32,11 +32,9 @@ class AtomTable:
     Labels are keyed by structural equality, so identical subformulas
     share one label; the first occurrence in program order receives the
     lowest index.  ``formulas`` maps each label back to its subformula,
-    and ``bars`` maps each user atom to its bar atom.  ``user`` records
-    the input alphabet; no stage reads it.
+    and ``bars`` maps each user atom to its bar atom.
     """
 
-    user: frozenset[Atom] = frozenset()
     labels: dict[Expr, Atom] = field(default_factory=dict)
     bars: dict[Atom, Atom] = field(default_factory=dict)
     next_label_index: int = 0
@@ -128,10 +126,11 @@ def normalize_nnf(expr: Expr) -> Expr:
 
 def tr1(program: Program) -> Program:
     """Normalize every head and body into HT-NNF."""
-    return Program(
+    # the rewrites keep every atom
+    return Program._derived(
         tuple(Rule(normalize_nnf(r.head), normalize_nnf(r.body))
               for r in program.rules),
-        program.alphabet,
+        program.alphabet, program.var(),
     )
 
 
@@ -196,7 +195,12 @@ def tr2(program: Program, table: AtomTable, *, polarity: bool = False,
             if "head" in where:
                 aux.extend(elim)
 
-    return Program(tuple(main + aux), program.alphabet)
+    # every atom sits in an HT-literal, which is kept in its intro or
+    # elim rule, and every label made here occurs in those rules
+    created = frozenset(v.atom for v in labelled.values()
+                        if isinstance(v, Var))
+    return Program._derived(tuple(main + aux), program.alphabet,
+                            program.var() | created)
 
 
 def _negate(expr: Expr) -> Expr:
@@ -246,7 +250,8 @@ def tr3(program: Program) -> Program:
         head_parts = [l for l in new_head if not isinstance(l, Bot)]
         body_parts = [l for l in final_body if not isinstance(l, Top)]
         out.append(Rule(disjunction(head_parts), conjunction(body_parts)))
-    return Program(tuple(out), program.alphabet)
+    # literals move and constants drop; no atom is lost
+    return Program._derived(tuple(out), program.alphabet, program.var())
 
 
 def tr4(program: Program, table: AtomTable) -> Program:
@@ -279,13 +284,16 @@ def tr4(program: Program, table: AtomTable) -> Program:
     for atom, bar in barred.items():
         rules.append(Rule(BOT, And(Var(atom), bar)))
         rules.append(Rule(bar, Not(Var(atom))))
-    return Program(tuple(rules), program.alphabet)
+    # ``:- p, n_p`` keeps each barred atom
+    created = frozenset(bar.atom for bar in barred.values())
+    return Program._derived(tuple(rules), program.alphabet,
+                            program.var() | created)
 
 
 def _structural_pipeline(program: Program, *, polarity: bool = False,
                          simplify: bool = False
                          ) -> tuple[Program, AtomTable, TranslationReport]:
-    table = AtomTable(user=frozenset(program.alphabet))
+    table = AtomTable()
     staged = tr1(program)
     staged = tr2(staged, table, polarity=polarity, simplify=simplify)
     staged = tr3(staged)
@@ -375,7 +383,7 @@ def translate_distributive(program: Program, max_nodes: int = 1_000_000
             for clause in clauses:
                 rules.append(Rule(disjunction(clause), conjunction(term)))
     mid = Program(tuple(rules), program.alphabet)
-    table = AtomTable(user=frozenset(program.alphabet))
+    table = AtomTable()
     translated = tr4(tr3(mid), table)
     _require(translated, ProgramClass.DISJUNCTIVE, "pipeline output")
     report = TranslationReport(

@@ -126,7 +126,7 @@ def test_criterion_8_ht_anchors_and_heredity():
 def test_criterion_9_stage_typing(corpus):
     failures = 0
     for program in corpus:
-        table = AtomTable(user=frozenset(program.alphabet))
+        table = AtomTable()
         s1 = tr1(program)
         s2 = tr2(s1, table)
         s3 = tr3(s2)

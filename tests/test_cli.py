@@ -185,6 +185,19 @@ def test_recursion_error_exits_3_with_one_line(capsys, monkeypatch):
     assert err.startswith("resource error:") and len(err.splitlines()) == 1
 
 
+def test_internal_error_exits_4_after_its_traceback(capsys, monkeypatch):
+    def broken(args):
+        raise KeyError("missing")
+
+    monkeypatch.setattr("nlp2dlp.cli._cmd_solve", broken)
+    code, _, err = call_main(["solve"], "p.", capsys, monkeypatch)
+    assert code == 4
+    lines = err.splitlines()
+    assert lines[0] == "Traceback (most recent call last):"
+    assert lines[-2] == "KeyError: 'missing'"
+    assert lines[-1] == "internal error: KeyError: 'missing'"
+
+
 def test_translate_simplify_reaches_every_mode(capsys, monkeypatch):
     from nlp2dlp import (
         parse, print_dlv, translate_distributive, translate_polarity_variant,

@@ -123,3 +123,28 @@ def test_equality_and_hash_are_structural(x, y):
     if a == c:
         assert hash(a) == hash(c)
     assert a != format_expr(a)
+
+
+def _counted_nodes(expr):
+    count = 0
+    stack = [expr]
+    while stack:
+        e = stack.pop()
+        count += 1
+        if isinstance(e, Not):
+            stack.append(e.child)
+        elif isinstance(e, (And, Or)):
+            stack += (e.left, e.right)
+    return count
+
+
+@settings(max_examples=300, deadline=None)
+@given(x=_blueprints, y=_blueprints)
+def test_stored_size_is_the_node_count(x, y):
+    a, c = _build(x), _build(y)
+    shared = And(a, Or(a, Not(c)))
+    for e in (a, c, shared):
+        assert expr_size(e) == _counted_nodes(e)
+    program = Program((Rule(a, c), Rule(shared, TOP)))
+    assert program_size(program) == sum(
+        _counted_nodes(e) for e in (a, c, shared, TOP)) + 2

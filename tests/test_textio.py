@@ -49,6 +49,26 @@ def test_parse_errors_carry_position():
         parse("p :- q")  # missing final dot
 
 
+@pytest.mark.parametrize("text, message, line, col", [
+    ("p :- q\nr ::.", "unexpected character ':'", 2, 3),
+    ("p :-\tq.\n\tr :-\t?.", "unexpected character '?'", 2, 7),
+    ("p :- q.\r\nr :- s.\r\n  t :- #.", "unexpected character '#'", 3, 8),
+    ("p.\r\n\t% note\r\n\tq :- r s.", "expected '.', found 's'", 3, 9),
+    ("% a comment, then\np. % more\nq :- r ::.", "unexpected character ':'",
+     3, 8),
+    ("p.\n$q.", "unexpected character '$'", 2, 1),
+    ("p.\nq :- (r, (s v t)", "expected ')', found ''", 2, 17),
+    ("p :- (\t", "expected an expression, found ''", 1, 8),
+], ids=["lexer", "tabs", "crlf", "crlf_parser", "comment", "line_start",
+        "unclosed_paren", "open_paren_at_end"])
+def test_parse_error_line_and_column(text, message, line, col):
+    with pytest.raises(ParseError) as info:
+        parse(text, origin="in.lp")
+    err = info.value
+    assert (err.message, err.line, err.col) == (message, line, col)
+    assert str(err) == f"in.lp:{line}:{col}: {message}"
+
+
 def test_v_is_disjunction_only_in_infix_position():
     assert parse("v.").rules == (Rule(Var(user_atom("v")), TOP),)
     assert parse("p v q.").rules == (Rule(Or(p, q), TOP),)

@@ -2,12 +2,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from nlp2dlp import (
-    BOT, TOP, And, AtomTable, Not, Or, Program, ProgramClass,
+    BOT, TOP, And, AtomTable, GeneratorConfig, Not, Or, Program, ProgramClass,
     ResourceLimitError, Rule, StageInputError, Var, answer_sets, bar_atom,
-    classify, ht_equivalent, label_atom, normalize_nnf, parse, program_size,
-    tr1, tr2, tr3, tr4, translate_distributive, translate_polarity_variant,
-    translate_structural, user_atom,
+    classify, generate_program, ht_equivalent, label_atom, normalize_nnf,
+    parse, print_nested, program_size, tr1, tr2, tr3, tr4,
+    translate_distributive, translate_polarity_variant, translate_structural,
+    user_atom,
 )
+from nlp2dlp import syntax
 from nlp2dlp.syntax import expr_atoms, is_ht_nnf
 
 pa, qa, ra = user_atom("p"), user_atom("q"), user_atom("r")
@@ -211,7 +213,7 @@ def test_stage_typing_over_corpus(corpus):
     for program in corpus:
         s1 = tr1(program)
         assert classify(s1).value <= ProgramClass.NNF.value
-        table = AtomTable(user=frozenset(program.alphabet))
+        table = AtomTable()
         s2 = tr2(s1, table)
         assert classify(s2).value <= ProgramClass.GDLP_HT.value
         s3 = tr3(s2)
@@ -238,3 +240,57 @@ def test_report_counts_are_consistent(corpus):
         assert report.output_size == program_size(translated)
         assert report.rules_out == len(translated.rules)
         assert report.bars_created >= 0 and report.labels_created >= 0
+
+
+def _walked_atoms(program):
+    return frozenset().union(
+        *(expr_atoms(e) for rule in program.rules
+          for e in (rule.head, rule.body)))
+
+
+def _check_atoms(out, alphabet):
+    assert out.var() == _walked_atoms(out)
+    assert out.alphabet == alphabet | out.var()
+
+
+def test_stages_carry_their_atoms_forward(corpus):
+    randoms = [generate_program(GeneratorConfig(
+        seed=seed, max_atoms=6, max_depth=4, max_rules=6))
+        for seed in range(100)]
+    programs = corpus + randoms
+    for program, other in zip(programs, programs[1:] + programs[:1]):
+        reread = parse(print_nested(program))
+        _check_atoms(reread, frozenset())
+        _check_atoms(program.union(other), program.alphabet | other.alphabet)
+        for polarity in (False, True):
+            for simplify in (False, True):
+                table = AtomTable()
+                s1 = tr1(program)
+                _check_atoms(s1, program.alphabet)
+                s2 = tr2(s1, table, polarity=polarity, simplify=simplify)
+                _check_atoms(s2, s1.alphabet)
+                s3 = tr3(s2)
+                _check_atoms(s3, s2.alphabet)
+                s4 = tr4(s3, table)
+                _check_atoms(s4, s3.alphabet)
+                _check_atoms(s4.union(other), s4.alphabet | other.alphabet)
+
+
+def test_translation_walks_no_rules_for_atoms(monkeypatch):
+    program = parse("p v not q :- not not (r, s), not (p v q). :- not not t."
+                    " not r v (s, not p).")
+    calls = []
+    walk_atoms = syntax._atoms
+
+    def counted(exprs):
+        calls.append(1)
+        return walk_atoms(exprs)
+
+    monkeypatch.setattr(syntax, "_atoms", counted)
+    for simplify in (False, True):
+        translate_structural(program, simplify=simplify)
+        translate_polarity_variant(program, simplify=simplify)
+    assert calls == []
+    # the counter sees a walk where one is made
+    Program(program.rules)
+    assert calls == [1]
