@@ -14,8 +14,7 @@ from .syntax import (
     BOT, TOP, And, Atom, AtomKind, Bot, Expr, Not, Or, Program,
     ProgramClass, Rule, Top, Var, bar_atom, classify, conjunction,
     disjunction, expr_atoms, expr_size, is_ht_literal, is_ht_nnf,
-    is_literal, label_atom, program_in_class, program_size, subformulas,
-    user_atom,
+    label_atom, program_in_class, program_size, subformulas, user_atom,
 )
 from .textio import format_expr, parse, parse_expression, print_dlv, print_nested
 from .translate import (

@@ -5,9 +5,10 @@ answer sets), ``check`` (faithfulness / strong faithfulness / modularity
 / the answer-set vs. equilibrium-model cross-check), ``stats`` (growth
 CSV) and ``gen`` (seeded program generation).
 
-Exit status: 0 success, 1 check mismatch, 2 parse or flag errors,
-3 resource errors (cap, guard, or input nested too deeply), 4 any other
-error, an internal one, reported with its traceback.
+Exit status: 0 success, 1 check mismatch, 2 parse, flag or file errors,
+each reported as one last ``error:`` line, 3 resource errors (cap,
+guard, or input nested too deeply), 4 any other error, an internal one,
+reported with its traceback.
 """
 
 from __future__ import annotations
@@ -26,6 +27,34 @@ from .verify import (
     GeneratorConfig, check_faithful, check_modular, check_strongly_faithful,
     generate_program, growth_csv, measure_growth, translate_mode,
 )
+
+
+class _ArgumentParser(argparse.ArgumentParser):
+    """Reports a flag error as one last ``error:`` line, like every other
+    error that exits 2."""
+
+    def error(self, message: str):
+        self.print_usage(sys.stderr)
+        self.exit(2, f"error: {self.prog}: {message}\n")
+
+
+def _int_at_least(least: int):
+    """An argparse ``type`` for an integer no smaller than ``least``."""
+    def convert(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(
+                f"invalid int value: {text!r}") from None
+        if value < least:
+            raise argparse.ArgumentTypeError(
+                f"must be at least {least}, got {value}")
+        return value
+    return convert
+
+
+_NON_NEGATIVE = _int_at_least(0)
+_POSITIVE = _int_at_least(1)
 
 
 def _read_text(path: str | None) -> tuple[str, str]:
@@ -149,7 +178,7 @@ def _cmd_gen(args: argparse.Namespace) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _ArgumentParser(
         prog="nlp2dlp",
         description="Compile nested logic programs into disjunctive logic "
                     "programs, and check the translation against a "
@@ -170,7 +199,7 @@ def build_parser() -> argparse.ArgumentParser:
                          help="comma-separated atoms added to the alphabet")
     p_solve.add_argument("--project", default=None,
                          help="comma-separated atoms to project onto")
-    p_solve.add_argument("--cap", type=int, default=DEFAULT_CAP)
+    p_solve.add_argument("--cap", type=_NON_NEGATIVE, default=DEFAULT_CAP)
     p_solve.add_argument("-i", "--input", default=None)
     p_solve.set_defaults(func=_cmd_solve)
 
@@ -179,9 +208,9 @@ def build_parser() -> argparse.ArgumentParser:
                                           "props"))
     p_check.add_argument("--mode", choices=("structural", "distributive",
                                             "polarity"), default="structural")
-    p_check.add_argument("--contexts", type=int, default=25)
+    p_check.add_argument("--contexts", type=_POSITIVE, default=25)
     p_check.add_argument("--seed", type=int, default=0)
-    p_check.add_argument("--cap", type=int, default=DEFAULT_CAP + 4)
+    p_check.add_argument("--cap", type=_NON_NEGATIVE, default=DEFAULT_CAP + 4)
     p_check.add_argument("-i", "--input", default=None)
     p_check.add_argument("-j", "--second", default=None,
                          help="second program (check modular)")
@@ -190,8 +219,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_stats = sub.add_parser("stats", help="emit the growth CSV")
     p_stats.add_argument("--family", choices=("dnf_head", "cnf_body"),
                          required=True)
-    p_stats.add_argument("--n-max", type=int, required=True)
-    p_stats.add_argument("--guard", type=int, default=1_000_000)
+    p_stats.add_argument("--n-max", type=_POSITIVE, required=True)
+    p_stats.add_argument("--guard", type=_NON_NEGATIVE, default=1_000_000)
     p_stats.add_argument("-o", "--output", default=None)
     p_stats.set_defaults(func=_cmd_stats)
 
@@ -224,7 +253,9 @@ def main(argv: list[str] | None = None) -> int:
         print(f"resource error: input nested too deeply ({exc})",
               file=sys.stderr)
         return 3
-    except (NotDisjunctiveError, StageInputError, ValueError) as exc:
+    except (NotDisjunctiveError, StageInputError, ValueError, OSError) as exc:
+        # an OSError here can only come from reading the input or
+        # writing the output
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:

@@ -33,37 +33,68 @@ class AtomKind(Enum):
     BAR = "bar"
 
 
-@dataclass(frozen=True, slots=True)
 class Atom:
+    """An atom of the alphabet, interned: there is one instance per name.
+
+    The name fixes the kind, so equality and hashing are the inherited
+    identity defaults.  A name is checked once, when its instance is
+    first made; ``Atom(name, kind)`` raises ``ValueError`` for a name
+    that is not valid for ``kind``.  Instances are immutable.
+    """
+
+    __slots__ = ("name", "kind")
     name: str
-    kind: AtomKind = AtomKind.USER
+    kind: AtomKind
 
-    def __post_init__(self):
-        if self.kind is AtomKind.USER:
-            if not _USER_NAME.match(self.name):
-                raise ValueError(f"invalid atom name {self.name!r}")
-            if self.name.startswith((LABEL_PREFIX, BAR_PREFIX)):
-                raise ValueError(
-                    f"user atom {self.name!r} uses a reserved prefix"
-                )
-        elif self.kind is AtomKind.LABEL:
-            if not _LABEL_NAME.match(self.name):
-                raise ValueError(f"invalid label atom name {self.name!r}")
-        else:
-            base = self.name[len(BAR_PREFIX):]
-            if not self.name.startswith(BAR_PREFIX) or not _USER_NAME.match(base) \
-                    or base.startswith((LABEL_PREFIX, BAR_PREFIX)):
-                raise ValueError(f"invalid bar atom name {self.name!r}")
+    def __new__(cls, name: str, kind: AtomKind = AtomKind.USER) -> "Atom":
+        atom = _ATOMS.get(name)
+        if atom is not None and atom.kind is kind:
+            return atom
+        # a name held under another kind is invalid for this one
+        _check_name(name, kind)
+        atom = object.__new__(cls)
+        object.__setattr__(atom, "name", name)
+        object.__setattr__(atom, "kind", kind)
+        # atomic, should two threads make the same new name at once
+        return _ATOMS.setdefault(name, atom)
 
-    def __hash__(self) -> int:
-        # the name alone fixes the kind
-        return hash(self.name)
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r} of an Atom")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r} of an Atom")
+
+    def __reduce__(self):
+        # copies and unpickled atoms are the interned instance
+        return Atom, (self.name, self.kind)
 
     def __lt__(self, other: "Atom") -> bool:
         return self.name < other.name
 
+    def __repr__(self) -> str:
+        return f"Atom(name={self.name!r}, kind={self.kind!r})"
+
     def __str__(self) -> str:
         return self.name
+
+
+_ATOMS: dict[str, Atom] = {}
+
+
+def _check_name(name: str, kind: AtomKind) -> None:
+    if kind is AtomKind.USER:
+        if not _USER_NAME.match(name):
+            raise ValueError(f"invalid atom name {name!r}")
+        if name.startswith((LABEL_PREFIX, BAR_PREFIX)):
+            raise ValueError(f"user atom {name!r} uses a reserved prefix")
+    elif kind is AtomKind.LABEL:
+        if not _LABEL_NAME.match(name):
+            raise ValueError(f"invalid label atom name {name!r}")
+    else:
+        base = name[len(BAR_PREFIX):]
+        if not name.startswith(BAR_PREFIX) or not _USER_NAME.match(base) \
+                or base.startswith((LABEL_PREFIX, BAR_PREFIX)):
+            raise ValueError(f"invalid bar atom name {name!r}")
 
 
 def user_atom(name: str) -> Atom:
@@ -71,13 +102,16 @@ def user_atom(name: str) -> Atom:
 
 
 def label_atom(index: int) -> Atom:
-    return Atom(f"{LABEL_PREFIX}{index}", AtomKind.LABEL)
+    # an interned ``l_`` name is a label: no kind to compare
+    name = f"{LABEL_PREFIX}{index}"
+    return _ATOMS.get(name) or Atom(name, AtomKind.LABEL)
 
 
 def bar_atom(atom: Atom) -> Atom:
     if atom.kind is not AtomKind.USER:
         raise ValueError(f"cannot form a bar atom over {atom.name!r}")
-    return Atom(f"{BAR_PREFIX}{atom.name}", AtomKind.BAR)
+    name = BAR_PREFIX + atom.name
+    return _ATOMS.get(name) or Atom(name, AtomKind.BAR)
 
 
 class Expr:
@@ -268,26 +302,18 @@ def expr_atoms(expr: Expr) -> frozenset[Atom]:
 
 
 def _atoms(exprs: Iterable[Expr]) -> frozenset[Atom]:
-    # keyed by name, which fixes the atom: each atom is hashed once
-    atoms: dict[str, Atom] = {}
+    atoms: set[Atom] = set()
     stack = list(exprs)
     while stack:
         e = stack.pop()
         if isinstance(e, Var):
-            atoms[e.atom.name] = e.atom
+            atoms.add(e.atom)
         elif isinstance(e, Not):
             stack.append(e.child)
         elif isinstance(e, (And, Or)):
             stack.append(e.left)
             stack.append(e.right)
-    return frozenset(atoms.values())
-
-
-def is_literal(expr: Expr) -> bool:
-    """v or ``not`` v, with v an atom or a truth constant."""
-    if isinstance(expr, Not):
-        expr = expr.child
-    return isinstance(expr, (Var, Top, Bot))
+    return frozenset(atoms)
 
 
 def is_ht_literal(expr: Expr) -> bool:

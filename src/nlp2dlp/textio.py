@@ -85,7 +85,7 @@ class _Parser:
         self.pos = 0
         self.origin = origin
         self.allow_internal = allow_internal
-        # one node per atom name: its atom is validated once
+        # one node per atom name, made where it first occurs
         self.vars: dict[str, Var] = {}
 
     def peek(self) -> Token:
@@ -303,6 +303,12 @@ def _dlv_literal(expr: Expr) -> str:
 
 
 def format_dlv_rule(rule: Rule) -> str:
+    # ``a :- b.`` and ``a.``, most of what a translation prints, directly
+    if isinstance(rule.head, Var):
+        if isinstance(rule.body, Var):
+            return f"{rule.head.atom.name} :- {rule.body.atom.name}."
+        if isinstance(rule.body, Top):
+            return rule.head.atom.name + "."
     body = None if isinstance(rule.body, Top) else \
         ", ".join(map(_dlv_literal, conjuncts(rule.body)))
     if isinstance(rule.head, Bot):

@@ -228,3 +228,55 @@ def test_translate_file_io(tmp_path):
     assert code == 0 and out == ""
     text = dst.read_text()
     assert ":- q, n_q." in text and "n_q :- not q." in text
+
+
+def _last_line(err):
+    return err.splitlines()[-1]
+
+
+def test_missing_input_file_exits_2(tmp_path, capsys, monkeypatch):
+    code, _, err = call_main(["translate", "-i", str(tmp_path / "missing.lp")],
+                             "", capsys, monkeypatch)
+    assert code == 2
+    assert "Traceback" not in err
+    assert _last_line(err).startswith("error:") and "missing.lp" in err
+
+
+def test_directory_as_input_exits_2(tmp_path, capsys, monkeypatch):
+    code, _, err = call_main(["translate", "-i", str(tmp_path)], "",
+                             capsys, monkeypatch)
+    assert code == 2
+    assert "Traceback" not in err and _last_line(err).startswith("error:")
+
+
+def test_unwritable_output_exits_2(tmp_path, capsys, monkeypatch):
+    target = tmp_path / "no_such_dir" / "x.lp"
+    code, _, err = call_main(["translate", "-o", str(target)], "p.",
+                             capsys, monkeypatch)
+    assert code == 2
+    assert "Traceback" not in err and _last_line(err).startswith("error:")
+
+
+@pytest.mark.parametrize("args", [
+    ["solve", "--cap", "-1"],
+    ["check", "props", "--cap", "-1"],
+    ["check", "strong", "--contexts", "-3"],
+    ["check", "strong", "--contexts", "0"],
+    ["stats", "--family", "dnf_head", "--n-max", "0"],
+    ["stats", "--family", "dnf_head", "--n-max", "3", "--guard", "-1"],
+    ["solve", "--cap", "x"],
+])
+def test_out_of_range_flag_exits_2(args, capsys, monkeypatch):
+    code, out, err = call_main(args, "p.", capsys, monkeypatch)
+    assert code == 2 and out == ""
+    assert _last_line(err).startswith("error:") and args[-2] in err
+
+
+@pytest.mark.parametrize("args, expected", [
+    (["solve", "--cap", "0"], 3),
+    (["check", "strong", "--contexts", "1"], 0),
+    (["stats", "--family", "dnf_head", "--n-max", "1", "--guard", "0"], 0),
+])
+def test_flag_range_bounds_are_accepted(args, expected, capsys, monkeypatch):
+    code, _, err = call_main(args, "p.", capsys, monkeypatch)
+    assert code == expected, err

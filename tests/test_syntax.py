@@ -1,3 +1,6 @@
+import copy
+import pickle
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -7,6 +10,7 @@ from nlp2dlp import (
     program_in_class, program_size, subformulas, user_atom,
 )
 from nlp2dlp.syntax import walk
+from nlp2dlp.textio import parse_atom
 
 p, q, r = Var(user_atom("p")), Var(user_atom("q")), Var(user_atom("r"))
 
@@ -25,6 +29,33 @@ def test_atom_kinds_and_validation():
         Atom("l_x", AtomKind.LABEL)
     with pytest.raises(ValueError):
         bar_atom(label_atom(0))
+    with pytest.raises(ValueError):
+        Atom("p", AtomKind.LABEL)
+    with pytest.raises(ValueError):
+        Atom("l_3", AtomKind.BAR)
+    with pytest.raises(ValueError):
+        label_atom(-1)
+    # one instance per name, however it was made
+    assert label_atom(3) is label_atom(3)
+    assert parse_atom("l_3", True) is label_atom(3)
+    assert bar_atom(user_atom("p")) is parse_atom("n_p", True)
+    assert Atom("p") is user_atom("p") is copy.deepcopy(user_atom("p"))
+    assert pickle.loads(pickle.dumps(label_atom(3))) is label_atom(3)
+    # a name held under one kind is refused under another
+    with pytest.raises(ValueError):
+        Atom("l_3", AtomKind.USER)
+    with pytest.raises(ValueError):
+        Atom("n_p", AtomKind.LABEL)
+    atom = user_atom("p")
+    with pytest.raises(AttributeError):
+        atom.name = "q"
+    with pytest.raises(AttributeError):
+        atom.kind = AtomKind.LABEL
+    with pytest.raises(AttributeError):
+        del atom.name
+    assert (atom.name, atom.kind) == ("p", AtomKind.USER)
+    assert sorted([user_atom("q"), atom]) == [atom, user_atom("q")]
+    assert repr(atom) == "Atom(name='p', kind=<AtomKind.USER: 'user'>)"
 
 
 def test_classify_examples():

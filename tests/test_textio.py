@@ -1,10 +1,13 @@
+import hashlib
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from nlp2dlp import (
-    BOT, TOP, And, Not, NotDisjunctiveError, Or, ParseError, Program, Rule,
-    Var, bar_atom, classify, format_expr, parse, parse_expression, print_dlv,
-    print_nested, user_atom,
+    BOT, TOP, And, GeneratorConfig, Not, NotDisjunctiveError, Or, ParseError,
+    Program, Rule, Var, bar_atom, classify, format_expr, generate_program,
+    parse, parse_expression, print_dlv, print_nested, translate_mode,
+    user_atom,
 )
 
 p, q, r = Var(user_atom("p")), Var(user_atom("q")), Var(user_atom("r"))
@@ -145,3 +148,35 @@ def test_print_dlv_output_reparses_disjunctive(corpus):
         translated, _ = translate_structural(program)
         back = parse(print_dlv(translated), allow_internal=True)
         assert classify(back).value <= ProgramClass.DISJUNCTIVE.value
+
+
+def _golden_text(mode, simplify):
+    """``print_dlv`` of 300 seeded programs over 1-6 atoms, one after
+    another."""
+    texts = []
+    for seed in range(300):
+        program = generate_program(GeneratorConfig(seed=seed,
+                                                   max_atoms=1 + seed % 6))
+        translated, _ = translate_mode(program, mode, simplify=simplify)
+        texts.append(print_dlv(translated))
+    return "%\n".join(texts)
+
+
+# SHA-256 of ``_golden_text``, taken before atoms were interned and
+# rules printed by shape: the printed output must not change
+GOLDEN_DLV = {
+    ("structural", False):
+        "7c0aa4e9383ffa218c694484aee0c301cb578ac483662be9781416e0ee46614a",
+    ("structural", True):
+        "8724fcc8406ed40207716d8d6d547c818831c5171c5cee32ed2b0a069fd62e78",
+    ("polarity", False):
+        "91265b268deb0af17bbaa6f76ab6cd3d612ad75353922513f284d2e4a2b9ffe4",
+    ("polarity", True):
+        "dc6ee30bec7f823d1c214e94f2e505910a504adc9cde7a3ecaeb3f1eae56333b",
+}
+
+
+@pytest.mark.parametrize("mode, simplify", sorted(GOLDEN_DLV))
+def test_print_dlv_golden_digest(mode, simplify):
+    digest = hashlib.sha256(_golden_text(mode, simplify).encode()).hexdigest()
+    assert digest == GOLDEN_DLV[mode, simplify]
