@@ -22,7 +22,7 @@ from .errors import (
 )
 from .semantics import DEFAULT_CAP, Interpretation, answer_sets, equilibrium_models
 from .syntax import Atom, Program
-from .textio import parse, parse_atom, print_dlv, print_nested
+from .textio import _error, parse, parse_atom, print_dlv, print_nested
 from .verify import (
     GeneratorConfig, check_faithful, check_modular, check_strongly_faithful,
     generate_program, growth_csv, measure_growth, translate_mode,
@@ -58,10 +58,23 @@ _POSITIVE = _int_at_least(1)
 
 
 def _read_text(path: str | None) -> tuple[str, str]:
+    """The input as strict UTF-8 with universal newlines, and its origin;
+    an invalid byte is a ``ParseError`` at its line and column."""
     if path is None or path == "-":
-        return sys.stdin.read(), "<stdin>"
-    with open(path, encoding="utf-8") as handle:
-        return handle.read(), path
+        data, origin = sys.stdin.buffer.read(), "<stdin>"
+    else:
+        with open(path, "rb") as handle:
+            data, origin = handle.read(), path
+    try:
+        return _newlines(data.decode("utf-8")), origin
+    except UnicodeDecodeError as exc:
+        before = _newlines(data[:exc.start].decode("utf-8"))
+        raise _error(f"invalid UTF-8 byte 0x{data[exc.start]:02x}",
+                     before, origin, len(before)) from None
+
+
+def _newlines(text: str) -> str:
+    return text.replace("\r\n", "\n").replace("\r", "\n")
 
 
 def _read_program(path: str | None, allow_internal: bool) -> Program:
@@ -226,9 +239,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_gen = sub.add_parser("gen", help="generate a seeded random program")
     p_gen.add_argument("--seed", type=int, required=True)
-    p_gen.add_argument("--atoms", type=int, default=4)
-    p_gen.add_argument("--rules", type=int, default=3)
-    p_gen.add_argument("--depth", type=int, default=3)
+    p_gen.add_argument("--atoms", type=_POSITIVE, default=4)
+    p_gen.add_argument("--rules", type=_POSITIVE, default=3)
+    p_gen.add_argument("--depth", type=_POSITIVE, default=3)
     p_gen.add_argument("--family", default="random")
     p_gen.set_defaults(func=_cmd_gen)
 

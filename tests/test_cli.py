@@ -25,7 +25,10 @@ def run_cli(args, stdin=""):
 
 
 def call_main(args, stdin, capsys, monkeypatch):
-    monkeypatch.setattr("sys.stdin", io.StringIO(stdin))
+    """Run ``main`` in process on ``stdin``, text or raw bytes."""
+    data = stdin if isinstance(stdin, bytes) else stdin.encode()
+    monkeypatch.setattr("sys.stdin",
+                        io.TextIOWrapper(io.BytesIO(data), encoding="utf-8"))
     code = main(args)
     captured = capsys.readouterr()
     return code, captured.out, captured.err
@@ -265,6 +268,10 @@ def test_unwritable_output_exits_2(tmp_path, capsys, monkeypatch):
     ["stats", "--family", "dnf_head", "--n-max", "0"],
     ["stats", "--family", "dnf_head", "--n-max", "3", "--guard", "-1"],
     ["solve", "--cap", "x"],
+    ["gen", "--seed", "1", "--rules", "0"],
+    ["gen", "--seed", "1", "--rules", "-1"],
+    ["gen", "--seed", "1", "--depth", "-1"],
+    ["gen", "--seed", "1", "--atoms", "-2"],
 ])
 def test_out_of_range_flag_exits_2(args, capsys, monkeypatch):
     code, out, err = call_main(args, "p.", capsys, monkeypatch)
@@ -276,7 +283,28 @@ def test_out_of_range_flag_exits_2(args, capsys, monkeypatch):
     (["solve", "--cap", "0"], 3),
     (["check", "strong", "--contexts", "1"], 0),
     (["stats", "--family", "dnf_head", "--n-max", "1", "--guard", "0"], 0),
+    (["gen", "--seed", "1", "--atoms", "1", "--rules", "1", "--depth", "1"],
+     0),
 ])
 def test_flag_range_bounds_are_accepted(args, expected, capsys, monkeypatch):
     code, _, err = call_main(args, "p.", capsys, monkeypatch)
     assert code == expected, err
+
+
+INVALID_UTF8 = b"p.\r\nq :- r,\n  s \xff."
+
+
+def test_invalid_utf8_on_stdin_exits_2(capsys, monkeypatch):
+    code, out, err = call_main(["translate"], INVALID_UTF8,
+                               capsys, monkeypatch)
+    assert code == 2 and out == ""
+    assert err == "error: <stdin>:3:5: invalid UTF-8 byte 0xff\n"
+
+
+def test_invalid_utf8_in_input_file_exits_2(tmp_path, capsys, monkeypatch):
+    source = tmp_path / "bad.lp"
+    source.write_bytes(INVALID_UTF8)
+    code, out, err = call_main(["translate", "-i", str(source)], "",
+                               capsys, monkeypatch)
+    assert code == 2 and out == ""
+    assert err == f"error: {source}:3:5: invalid UTF-8 byte 0xff\n"

@@ -1,13 +1,15 @@
 import random
+import tracemalloc
 
 import pytest
 
 from nlp2dlp import (
-    BOT, TOP, And, HTInterpretation, Not, Or, Program, ResourceLimitError,
-    Rule, Var, World, answer_sets, classical_models, equilibrium_models,
-    eval_classical, eval_ht, format_expr, ht_equivalent, ht_models,
-    is_ht_model, minimal_models, parse, parse_expression, reduct,
-    subformulas, user_atom,
+    BOT, TOP, And, GeneratorConfig, HTInterpretation, Not, Or, Program,
+    ResourceLimitError, Rule, Var, World, answer_sets, classical_models,
+    equilibrium_models, eval_classical, eval_ht, format_expr,
+    generate_program, ht_equivalent, ht_models, is_ht_model, minimal_models,
+    parse, parse_expression, reduct, semantics, subformulas,
+    translate_structural, user_atom,
 )
 from nlp2dlp.syntax import negation_free
 
@@ -235,3 +237,91 @@ def test_enumeration_cap_is_enforced():
         classical_models(Program(), atoms, cap=20)
     pinned = Program(tuple(Rule(BOT, Var(a)) for a in atoms), atoms)
     assert answer_sets(pinned, atoms, cap=21) == frozenset({EMPTY})
+
+
+ABSENT = frozenset(user_atom(f"z{i}") for i in range(2))
+
+
+def _window_cases():
+    """Seeded programs over 0-8 atoms, some over an alphabet widened by
+    atoms absent from them, the empty program, and one made so that a
+    stability check fails on its own window's top bit and constants.
+
+    In the last, d, e and f are chosen freely and c is never supported:
+    the answer sets are {a, b} with any of d, e, f.  A candidate I with
+    c in it is refuted by I minus c, which with windows of 2 atoms is
+    the top bit of another window; a candidate without c is stable only
+    with every ``not`` fixed by I, not by the top bit of its window."""
+    cases = [(Program(), EMPTY), (Program(), ABSENT)]
+    for seed in range(27):
+        n = seed % 9
+        program = generate_program(GeneratorConfig(
+            seed=seed, max_atoms=n, max_depth=3, max_rules=4))
+        widen = seed % 2 and n <= 6
+        alphabet = program.alphabet | (ABSENT if widen else EMPTY)
+        cases.append((program, alphabet))
+    crafted = parse("a. b. c :- c. d :- not not d. e :- not not e. "
+                    "f :- not not f.")
+    return cases + [(crafted, crafted.alphabet)]
+
+
+def _oracle_results(program, alphabet):
+    """Every windowed evaluator's answer on one program, in one tuple."""
+    others = Program(program.rules[1:], alphabet)
+    positive = reduct(program, alphabet)
+    return (answer_sets(program, alphabet),
+            classical_models(program, alphabet),
+            minimal_models(positive, alphabet),
+            {(f.here, f.there) for f in ht_models(program, alphabet)},
+            equilibrium_models(program, alphabet),
+            ht_equivalent(program, others, alphabet))
+
+
+def _naive_results(program, alphabet):
+    others = Program(program.rules[1:], alphabet)
+    positive = reduct(program, alphabet)
+    rules = [(r.head, r.body) for r in program.rules]
+    ht = naive_ht_models(program, alphabet)
+    return (naive_answer_sets(program, alphabet),
+            frozenset(i for i in subsets(alphabet) if is_model(rules, i)),
+            naive_minimal_models(positive, alphabet),
+            ht,
+            naive_equilibrium_models(program, alphabet),
+            ht == naive_ht_models(others, alphabet))
+
+
+def test_windows_across_boundaries_match_naive_oracle(monkeypatch):
+    """With windows of 2 and 3 atoms every alphabet here spans several,
+    so a candidate's stability check and the HT blocks cross window
+    boundaries; the results must not change."""
+    cases = [(program, alphabet, _oracle_results(program, alphabet))
+             for program, alphabet in _window_cases()]
+    for window in (2, 3):
+        monkeypatch.setattr(semantics, "_WINDOW", window)
+        for program, alphabet, unwindowed in cases:
+            windowed = _oracle_results(program, alphabet)
+            assert windowed == unwindowed, (window, program.rules)
+            assert windowed == _naive_results(program, alphabet), \
+                (window, program.rules)
+
+
+def test_oracle_memory_is_bounded_by_the_window(corpus):
+    wide = next((program, translated) for program in corpus
+                for translated in (translate_structural(program)[0],)
+                if len(translated.var() | program.alphabet) == 22)
+    program, translated = wide
+    tracemalloc.start()
+    try:
+        answer_sets(translated, translated.var() | program.alphabet, cap=24)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+    atoms = frozenset(user_atom(f"x{i}") for i in range(17))
+    facts = Program(tuple(Rule(Var(a), TOP) for a in atoms))
+    assert ht_models(facts, atoms) == {HTInterpretation(atoms, atoms)}
+    assert classical_models(facts, atoms | ABSENT) == \
+        {atoms | extra for extra in subsets(ABSENT)}
+    # patterns are cached by width, and no width beyond the window
+    assert semantics._atom_patterns.cache_info().currsize <= \
+        semantics._WINDOW + 1
