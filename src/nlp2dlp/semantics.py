@@ -418,13 +418,14 @@ def answer_sets(program: Program, alphabet: Iterable[Atom],
     of the program with respect to I."""
     atoms = _check_cap(alphabet, cap)
     plan = _compile(program.rules)
+    # an atom that occurs only under ``not`` can be dropped from any
+    # candidate I, so it is in no answer set
+    atoms = [a for a in atoms if a in plan.positive]
     bits = _atom_bits(plan, atoms)
-    # an atom the reduct does not use can be dropped from I: not minimal
-    unused = sum(1 << j for j, a in enumerate(atoms) if a not in plan.positive)
     # only classical models of the rule implications are candidates
     return frozenset(_index_to_interp(i, atoms)
                      for i in _models(plan, bits, len(atoms))
-                     if not i & unused and _is_stable(plan, bits, i))
+                     if _is_stable(plan, bits, i))
 
 
 def _ht_holds(plan: _Plan, table: list[tuple[int, int]], full: int) -> int:
@@ -519,13 +520,15 @@ def equilibrium_models(program: Program, alphabet: Iterable[Atom],
                        cap: int = DEFAULT_CAP) -> frozenset[Interpretation]:
     """Total HT-models <I,I> with no <J,I>, J a proper subset, a model."""
     atoms = _check_cap(alphabet, cap)
-    found = set()
-    for t, base, bm in _ht_blocks(_compile(program.rules), atoms):
-        # the bit of <T, T>, which is in the first window of T
-        top = (1 << t.bit_count()) - 1 - base
-        if top >> _WINDOW == 0:
-            if bm == 1 << top:
-                found.add(t)
-        elif bm:
-            found.discard(t)
+    plan = _compile(program.rules)
+    bits = _atom_bits(plan, atoms)
+    found = []
+    for t in range(1 << len(atoms)):
+        # <T, T> is the top bit of T's first window; the other windows
+        # are read only while T is still accepted, and only until one
+        # holds a model
+        (_, full, table), *rest = _windows(bits, t, ht=True)
+        if _ht_holds(plan, table, full) == (full + 1) >> 1 and not any(
+                _ht_holds(plan, table, full) for _, full, table in rest):
+            found.append(t)
     return frozenset(_index_to_interp(t, atoms) for t in found)

@@ -14,45 +14,39 @@ Grammar (EBNF)::
 A rule without ":-" has body ``true``; a rule without a head has head
 ``false``.  ``not`` and ``-`` both denote negation; ``v`` in infix
 position is disjunction, elsewhere it is an ordinary atom.
+
+The parser reads tokens as plain lexemes and their kinds, from one
+regular-expression pass, and works out a token's line and column only
+when it raises a ``ParseError``.
 """
 
 from __future__ import annotations
 
 import re
-from typing import NamedTuple
 
 from .errors import NotDisjunctiveError, ParseError
 from .syntax import (
     BAR_PREFIX, BOT, LABEL_PREFIX, TOP, And, Atom, AtomKind, Bot, Expr, Not,
-    Or, Program, ProgramClass, Rule, Top, Var, classify, conjuncts, disjuncts,
-    _rule_rank,
+    Or, Program, ProgramClass, Rule, Top, Var, classify, _leaves, _rule_rank,
 )
 
-# whitespace and comments, then a token (group 1), a character that
-# starts none (group 2) or the end of the text
+# whitespace and comments, then a lexeme: a token, a character that
+# starts none, or the empty lexeme at the end of the text
 _TOKEN_RE = re.compile(
     r"""(?: [ \t\r\n]+ | %[^\n]* )*
-        (?: ( :- | [A-Za-z_][A-Za-z0-9_]* | [().,;&|-] ) | (.) | \Z )
+        ( :- | [A-Za-z_][A-Za-z0-9_]* | [().,;&|-] | . | \Z )
     """,
     re.VERBOSE,
 )
+_NAME_START = re.compile(r"[A-Za-z_]")
 
-# token kind of each keyword and punctuation lexeme; any other lexeme
-# matched as a token is an identifier
+# token kind of each keyword and punctuation lexeme; an identifier, or
+# a character that starts no token, has none
 _KINDS = {
     "not": "not", "true": "true", "false": "false", ":-": "arrow",
     ".": "dot", "(": "lparen", ")": "rparen", ",": "and", "&": "and",
-    ";": "or", "|": "or", "-": "not",
+    ";": "or", "|": "or", "-": "not", "": "eof",
 }
-
-
-class Token(NamedTuple):
-    """A lexeme, its kind and its offset in the text; the line and the
-    column are worked out from the offset only for an error message."""
-
-    kind: str
-    text: str
-    pos: int
 
 
 def _error(message: str, text: str, origin: str, pos: int) -> ParseError:
@@ -63,140 +57,146 @@ def _error(message: str, text: str, origin: str, pos: int) -> ParseError:
                       pos - line_start + 1)
 
 
-def _tokenize(text: str, origin: str) -> list[Token]:
-    tokens = []
-    kinds = _KINDS
-    for m in _TOKEN_RE.finditer(text):
+def _tokenize(text: str) -> tuple[list[str], list[str | None]]:
+    """The lexemes of ``text``, the empty one at its end included, and
+    their kinds, from one pass of ``_TOKEN_RE``."""
+    lexemes = _TOKEN_RE.findall(text)
+    return lexemes, list(map(_KINDS.get, lexemes))
+
+
+def _fail(message: str, text: str, origin: str, index: int) -> ParseError:
+    """The ``ParseError`` for the token at ``index`` of the text's
+    lexemes, its offset found by scanning the text again.  A character
+    that starts no token is reported instead, the first of them wherever
+    it is, so the message does not depend on where the parser stopped."""
+    pos = len(text)
+    for k, m in enumerate(_TOKEN_RE.finditer(text)):
         lexeme = m[1]
-        if lexeme is None:
-            if m[2] is not None:
-                raise _error(f"unexpected character {m[2]!r}", text, origin,
-                             m.start(2))
-            break
-        tokens.append(Token(kinds.get(lexeme, "ident"), lexeme, m.start(1)))
-    tokens.append(Token("eof", "", len(text)))
-    return tokens
+        if lexeme and lexeme not in _KINDS and not _NAME_START.match(lexeme):
+            return _error(f"unexpected character {lexeme!r}", text, origin,
+                          m.start(1))
+        if k == index:
+            pos = m.start(1)
+    return _error(message, text, origin, pos)
 
 
-class _Parser:
-    def __init__(self, text: str, origin: str, allow_internal: bool):
-        self.text = text
-        self.tokens = _tokenize(text, origin)
-        self.pos = 0
-        self.origin = origin
-        self.allow_internal = allow_internal
-        # one node per atom name, made where it first occurs
-        self.vars: dict[str, Var] = {}
+def _read(text: str, origin: str, allow_internal: bool,
+          program: bool) -> Program | Expr:
+    """The program spelled by ``text`` or, without ``program``, its one
+    expression.
 
-    def peek(self) -> Token:
-        return self.tokens[self.pos]
-
-    def advance(self) -> Token:
-        tok = self.tokens[self.pos]
-        self.pos += 1
-        return tok
-
-    def error(self, message: str, tok: Token | None = None) -> ParseError:
-        tok = tok or self.peek()
-        return _error(message, self.text, self.origin, tok.pos)
-
-    def expect(self, kind: str, what: str) -> Token:
-        if self.peek().kind != kind:
-            raise self.error(f"expected {what}, found {self.peek().text!r}")
-        return self.advance()
-
-    def program(self) -> Program:
-        rules = []
-        while self.peek().kind != "eof":
-            rules.append(self.rule())
-        # every node in ``vars`` was placed in a rule
-        return Program._derived(tuple(rules), frozenset(), frozenset(
-            node.atom for node in self.vars.values()))
-
-    def rule(self) -> Rule:
-        tok = self.peek()
-        if tok.kind == "dot":
-            raise self.error("empty rule")
-        head = None
-        body = None
-        if tok.kind != "arrow":
-            head = self.expr()
-        if self.peek().kind == "arrow":
-            self.advance()
-            body = self.expr()
-        self.expect("dot", "'.'")
-        return Rule(head if head is not None else BOT,
-                    body if body is not None else TOP)
-
-    def expr(self) -> Expr:
-        """Operator-precedence loop over ``neg``, ``conj`` and ``disj``;
-        parentheses open a group on the operator stack instead of a
-        nested call, so nesting depth costs no recursion."""
-        operands: list[Expr] = []
-        ops: list[str] = []  # "not", "and", "or" and "lparen"
-        depth = 0  # open parentheses
-
-        def reduce(stop: tuple[str, ...]) -> None:
-            while ops and ops[-1] not in stop:
-                op = ops.pop()
-                if op == "not":
-                    operands.append(Not(operands.pop()))
-                else:
-                    right = operands.pop()
-                    left = operands.pop()
-                    operands.append(And(left, right) if op == "and"
-                                    else Or(left, right))
-
+    The lexemes and their kinds are read by one index.  An expression is
+    read by an operator-precedence loop; parentheses open a group on the
+    operator stack instead of a nested call, so nesting depth costs no
+    recursion.  A character that starts no token has the kind of an
+    identifier, and fails as an atom name wherever it is read.
+    """
+    lexemes, kinds = _tokenize(text)
+    # one node per atom name, made where it first occurs
+    names: dict[str, Var] = {}
+    rules: list[Rule] = []
+    # the pending operators, innermost last, as node classes, with None
+    # for an open parenthesis and for the floor; the left operand of each
+    # And and Or is in ``lefts``
+    ops: list[type[Expr] | None] = [None]
+    lefts: list[Expr] = []
+    depth = 0  # open parentheses, none between expressions
+    i = 0
+    while True:
+        if program:
+            kind = kinds[i]
+            if kind == "eof":
+                # every node in ``names`` was placed in a rule
+                return Program._derived(tuple(rules), frozenset(), frozenset(
+                    node.atom for node in names.values()))
+            if kind == "dot":
+                raise _fail("empty rule", text, origin, i)
+            in_body = kind == "arrow"
+            if in_body:
+                head = BOT
+                i += 1
         while True:
-            tok = self.advance()
-            if tok.kind == "not":
-                ops.append("not")
-                continue
-            if tok.kind == "lparen":
-                ops.append("lparen")
-                depth += 1
-                continue
-            if tok.kind == "true":
-                operands.append(TOP)
-            elif tok.kind == "false":
-                operands.append(BOT)
-            elif tok.kind == "ident":
-                operands.append(self.var(tok))
-            else:
-                raise self.error(f"expected an expression, found {tok.text!r}",
-                                 tok)
-            # negations bind to the operand just read, or to the group it
-            # closes
-            reduce(("and", "or", "lparen"))
-            while depth and self.peek().kind == "rparen":
-                self.advance()
-                reduce(("lparen",))
-                ops.pop()
-                depth -= 1
-                reduce(("and", "or", "lparen"))
-            tok = self.peek()
-            if tok.kind == "and":
-                reduce(("or", "lparen"))
-                ops.append("and")
-            elif tok.kind == "or" or (tok.kind == "ident" and tok.text == "v"):
-                reduce(("lparen",))
-                ops.append("or")
-            elif depth:
-                raise self.error(f"expected ')', found {tok.text!r}")
-            else:
-                reduce(())
-                return operands.pop()
-            self.advance()
-
-    def var(self, tok: Token) -> Var:
-        node = self.vars.get(tok.text)
-        if node is None:
-            try:
-                node = Var(parse_atom(tok.text, self.allow_internal))
-            except ValueError as exc:
-                raise self.error(str(exc), tok) from None
-            self.vars[tok.text] = node
-        return node
+            while True:
+                kind = kinds[i]
+                i += 1
+                if kind is None:
+                    expr = names.get(lexemes[i - 1])
+                    if expr is None:
+                        try:
+                            expr = Var(parse_atom(lexemes[i - 1],
+                                                  allow_internal))
+                        except ValueError as exc:
+                            raise _fail(str(exc), text, origin,
+                                        i - 1) from None
+                        names[lexemes[i - 1]] = expr
+                elif kind == "not":
+                    ops.append(Not)
+                    continue
+                elif kind == "lparen":
+                    ops.append(None)
+                    depth += 1
+                    continue
+                elif kind == "true":
+                    expr = TOP
+                elif kind == "false":
+                    expr = BOT
+                else:
+                    raise _fail(
+                        f"expected an expression, found {lexemes[i - 1]!r}",
+                        text, origin, i - 1)
+                # negations bind to the operand just read, or to the group
+                # it closes; so above a parenthesis only And and Or wait
+                while ops[-1] is Not:
+                    ops.pop()
+                    expr = Not(expr)
+                while depth and kinds[i] == "rparen":
+                    i += 1
+                    op = ops.pop()
+                    while op is not None:
+                        expr = op(lefts.pop(), expr)
+                        op = ops.pop()
+                    depth -= 1
+                    while ops[-1] is Not:
+                        ops.pop()
+                        expr = Not(expr)
+                kind = kinds[i]
+                if kind == "and":
+                    op = And
+                    while ops[-1] is And:
+                        expr = ops.pop()(lefts.pop(), expr)
+                elif kind == "or" or kind is None and lexemes[i] == "v":
+                    op = Or
+                    while ops[-1] is not None:
+                        expr = ops.pop()(lefts.pop(), expr)
+                elif depth:
+                    raise _fail(f"expected ')', found {lexemes[i]!r}", text,
+                                origin, i)
+                else:
+                    while lefts:
+                        expr = ops.pop()(lefts.pop(), expr)
+                    break
+                ops.append(op)
+                lefts.append(expr)
+                i += 1
+            if not program:
+                if kinds[i] != "eof":
+                    raise _fail(
+                        f"expected end of input, found {lexemes[i]!r}",
+                        text, origin, i)
+                return expr
+            if in_body:
+                body = expr
+                break
+            if kinds[i] != "arrow":
+                head, body = expr, TOP
+                break
+            head = expr
+            in_body = True
+            i += 1
+        if kinds[i] != "dot":
+            raise _fail(f"expected '.', found {lexemes[i]!r}", text, origin, i)
+        i += 1
+        rules.append(Rule(head, body))
 
 
 def parse_atom(name: str, allow_internal: bool = False) -> Atom:
@@ -221,15 +221,12 @@ def parse(text: str, origin: str = "<string>",
     ``allow_internal`` admits label (``l_``) and bar (``n_``) atoms, as
     needed to re-read translated output; user input rejects them.
     """
-    return _Parser(text, origin, allow_internal).program()
+    return _read(text, origin, allow_internal, True)
 
 
 def parse_expression(text: str, origin: str = "<string>",
                      allow_internal: bool = False) -> Expr:
-    parser = _Parser(text, origin, allow_internal)
-    e = parser.expr()
-    parser.expect("eof", "end of input")
-    return e
+    return _read(text, origin, allow_internal, False)
 
 
 _PREC_OR, _PREC_AND, _PREC_NOT, _PREC_ATOM = 1, 2, 3, 4
@@ -293,8 +290,13 @@ def print_nested(program: Program) -> str:
 
 
 def _dlv_literal(expr: Expr) -> str:
-    if isinstance(expr, Var):
+    """An atom, a truth constant, or ``not`` before one."""
+    if type(expr) is Var:
         return expr.atom.name
+    if type(expr) is Not:
+        child = expr.child
+        if type(child) is Var:
+            return "not " + child.atom.name
     nots = 0
     while isinstance(expr, Not):
         nots += 1
@@ -302,21 +304,31 @@ def _dlv_literal(expr: Expr) -> str:
     return "not " * nots + _atomic_text(expr)
 
 
+def _dlv_literals(expr: Expr, op: type[Expr], sep: str) -> str:
+    """The disjuncts of a head (``op`` Or) or the conjuncts of a body
+    (``op`` And), joined by ``sep``: one or two literals directly, more
+    through the flattened list."""
+    if type(expr) is not op:
+        return _dlv_literal(expr)
+    left, right = expr.left, expr.right
+    if type(left) is op or type(right) is op:
+        return sep.join(map(_dlv_literal, _leaves(expr, op)))
+    return _dlv_literal(left) + sep + _dlv_literal(right)
+
+
 def format_dlv_rule(rule: Rule) -> str:
-    # ``a :- b.`` and ``a.``, most of what a translation prints, directly
-    if isinstance(rule.head, Var):
-        if isinstance(rule.body, Var):
-            return f"{rule.head.atom.name} :- {rule.body.atom.name}."
-        if isinstance(rule.body, Top):
-            return rule.head.atom.name + "."
-    body = None if isinstance(rule.body, Top) else \
-        ", ".join(map(_dlv_literal, conjuncts(rule.body)))
-    if isinstance(rule.head, Bot):
-        return ":- " + (body if body is not None else "true") + "."
-    head = " v ".join(map(_dlv_literal, disjuncts(rule.head)))
-    if body is None:
-        return head + "."
-    return head + " :- " + body + "."
+    head, body = rule.head, rule.body
+    # ``a :- b.``, most of what a translation prints, directly
+    if type(head) is Var and type(body) is Var:
+        return f"{head.atom.name} :- {body.atom.name}."
+    if type(body) is Top:
+        if type(head) is Bot:
+            return ":- true."
+        return _dlv_literals(head, Or, " v ") + "."
+    body_text = _dlv_literals(body, And, ", ")
+    if type(head) is Bot:
+        return ":- " + body_text + "."
+    return _dlv_literals(head, Or, " v ") + " :- " + body_text + "."
 
 
 def print_dlv(program: Program) -> str:
@@ -330,4 +342,5 @@ def print_dlv(program: Program) -> str:
                    if _rule_rank(r) > ProgramClass.DISJUNCTIVE.value)
         raise NotDisjunctiveError(
             f"not in disjunctive form: {format_rule(bad)}")
-    return "".join(format_dlv_rule(r) + "\n" for r in program.rules)
+    return "".join([line + "\n"
+                    for line in map(format_dlv_rule, program.rules)])

@@ -1,6 +1,8 @@
 import io
+import shlex
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -22,6 +24,42 @@ def run_cli(args, stdin=""):
         [sys.executable, "-m", "nlp2dlp", *args],
         input=stdin, capture_output=True, text=True)
     return proc.returncode, proc.stdout, proc.stderr
+
+
+def _readme_commands():
+    """The command lines of the README's CLI block, each with the output
+    documented under it by a ``# -> `` line, or None."""
+    readme = (Path(__file__).parent.parent / "README.md").read_text()
+    block = readme.split("## CLI", 1)[1].split("```sh\n", 1)[1]
+    lines = block.split("```", 1)[0].splitlines()
+    commands = []
+    for line, after in zip(lines, lines[1:] + [""]):
+        if line.startswith(("echo ", "nlp2dlp ")):
+            documented = after[len("# -> "):] \
+                if after.startswith("# -> ") else None
+            commands.append((line.split("  #")[0].rstrip(), documented))
+    return commands
+
+
+# README lines that read files the README does not provide
+NEEDS_FILES = {"nlp2dlp check modular -i one.lp -j two.lp"}
+
+
+@pytest.mark.parametrize("line, documented", _readme_commands())
+def test_readme_cli_example(line, documented):
+    if line in NEEDS_FILES:
+        pytest.skip("reads input files")
+    stdin = ""
+    for stage in line.split(" | "):
+        if stage.startswith("echo "):
+            stdin = shlex.split(stage)[1] + "\n"
+            continue
+        program, *args = shlex.split(stage)
+        assert program == "nlp2dlp"
+        code, stdin, err = run_cli(args, stdin)
+        assert code == 0, (stage, err)
+    if documented is not None:
+        assert stdin.strip() == documented
 
 
 def call_main(args, stdin, capsys, monkeypatch):

@@ -325,3 +325,44 @@ def test_oracle_memory_is_bounded_by_the_window(corpus):
     # patterns are cached by width, and no width beyond the window
     assert semantics._atom_patterns.cache_info().currsize <= \
         semantics._WINDOW + 1
+
+
+def test_answer_sets_enumerate_only_positive_atoms(monkeypatch):
+    """An atom that occurs only under ``not`` is in no answer set, so no
+    candidate holds one: here only {p} and {} are candidates, not the
+    2^11 interpretations of the alphabet."""
+    program = parse("p :- " + ", ".join(f"not q{i}" for i in range(1, 11))
+                    + ".")
+    yielded = []
+    models = semantics._models
+
+    def counted(*args):
+        for index in models(*args):
+            yielded.append(index)
+            yield index
+
+    monkeypatch.setattr(semantics, "_models", counted)
+    assert answer_sets(program, program.alphabet) == {frozenset({pa})}
+    assert len(yielded) <= 2
+
+
+def test_equilibrium_models_skip_a_decided_there_world(monkeypatch):
+    """With windows of 2 atoms each there-world T of this 8-atom program
+    spans several windows; once T's first window rejects T, or a later
+    one holds a model, the rest of T is not evaluated."""
+    program = parse("a. b :- not c. c :- not b. d v e. f :- a, not g. "
+                    "g :- h. h :- not f.")
+    calls = 0
+    holds = semantics._ht_holds
+
+    def counted(*args):
+        nonlocal calls
+        calls += 1
+        return holds(*args)
+
+    monkeypatch.setattr(semantics, "_WINDOW", 2)
+    monkeypatch.setattr(semantics, "_ht_holds", counted)
+    models = equilibrium_models(program, program.alphabet)
+    assert calls <= 520
+    assert models == answer_sets(program, program.alphabet) == \
+        naive_equilibrium_models(program, program.alphabet)

@@ -62,14 +62,29 @@ def test_parse_errors_carry_position():
     ("p.\n$q.", "unexpected character '$'", 2, 1),
     ("p.\nq :- (r, (s v t)", "expected ')', found ''", 2, 17),
     ("p :- (\t", "expected an expression, found ''", 1, 8),
+    ("p :- n_q.", "atom 'n_q' uses a reserved prefix", 1, 6),
+    ("p.\n  q :- r", "expected '.', found ''", 2, 9),
+    ("p :- (q, r)).", "expected '.', found ')'", 1, 12),
+    ("p :- q, , r.", "expected an expression, found ','", 1, 9),
+    ("p :- q, ?, , r.", "unexpected character '?'", 1, 9),
 ], ids=["lexer", "tabs", "crlf", "crlf_parser", "comment", "line_start",
-        "unclosed_paren", "open_paren_at_end"])
+        "unclosed_paren", "open_paren_at_end", "reserved_prefix",
+        "missing_final_dot", "unmatched_rparen", "two_operators",
+        "bad_character_as_operand"])
 def test_parse_error_line_and_column(text, message, line, col):
     with pytest.raises(ParseError) as info:
         parse(text, origin="in.lp")
     err = info.value
     assert (err.message, err.line, err.col) == (message, line, col)
     assert str(err) == f"in.lp:{line}:{col}: {message}"
+
+
+def test_parse_expression_error_line_and_column():
+    with pytest.raises(ParseError) as info:
+        parse_expression("p q", origin="in.lp")
+    err = info.value
+    assert (err.message, err.line, err.col) == \
+        ("expected end of input, found 'q'", 1, 3)
 
 
 def test_v_is_disjunction_only_in_infix_position():
@@ -180,3 +195,41 @@ GOLDEN_DLV = {
 def test_print_dlv_golden_digest(mode, simplify):
     digest = hashlib.sha256(_golden_text(mode, simplify).encode()).hexdigest()
     assert digest == GOLDEN_DLV[mode, simplify]
+
+
+def _golden_nested_text():
+    """``print_nested`` of the programs behind ``_golden_text``."""
+    return "".join(
+        print_nested(generate_program(GeneratorConfig(seed=seed,
+                                                      max_atoms=1 + seed % 6)))
+        for seed in range(300))
+
+
+# SHA-256 of ``repr`` of the rules parsed from the nested text of the
+# ``_golden_text`` programs and, with internal atoms allowed, from their
+# ``print_dlv`` text, taken before the parser read plain lexemes: the
+# parsed trees must not change
+GOLDEN_PARSE = {
+    "nested":
+        "ca72f7b18212bc398d36d9b12f77166a62b40d02a57072ed011437698b3db0f0",
+    "structural-False":
+        "a3ee2294ca6f9f116a0660150eb1de72d3ff94ba226b7a7562efcd37a1854b7b",
+    "structural-True":
+        "699a9fc956b20b7a5336a56377987aeeb995705c0270549f982a80db92ba2e6a",
+    "polarity-False":
+        "2b5acbb243a525261736c8ebfd2872d39872e93ba95467bef786a2e1643d83d9",
+    "polarity-True":
+        "bac0550f13aa674469f885dab1ec60d4f1ce2c7c6b6df35857235d6d868510cc",
+}
+
+
+@pytest.mark.parametrize("source", sorted(GOLDEN_PARSE))
+def test_parse_golden_digest(source):
+    if source == "nested":
+        rules = parse(_golden_nested_text()).rules
+    else:
+        mode, simplify = source.split("-")
+        rules = parse(_golden_text(mode, simplify == "True"),
+                      allow_internal=True).rules
+    digest = hashlib.sha256(repr(rules).encode()).hexdigest()
+    assert digest == GOLDEN_PARSE[source]
