@@ -24,8 +24,9 @@ from .semantics import DEFAULT_CAP, Interpretation, answer_sets, equilibrium_mod
 from .syntax import Atom, Program
 from .textio import _error, parse, parse_atom, print_dlv, print_nested
 from .verify import (
-    GeneratorConfig, check_faithful, check_modular, check_strongly_faithful,
-    generate_program, growth_csv, measure_growth, translate_mode,
+    GROWTH_FAMILIES, GeneratorConfig, check_faithful, check_modular,
+    check_strongly_faithful, generate_program, growth_csv, measure_growth,
+    translate_mode,
 )
 
 
@@ -230,7 +231,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_check.set_defaults(func=_cmd_check)
 
     p_stats = sub.add_parser("stats", help="emit the growth CSV")
-    p_stats.add_argument("--family", choices=("dnf_head", "cnf_body"),
+    p_stats.add_argument("--family", choices=GROWTH_FAMILIES,
                          required=True)
     p_stats.add_argument("--n-max", type=_POSITIVE, required=True)
     p_stats.add_argument("--guard", type=_NON_NEGATIVE, default=1_000_000)
@@ -242,7 +243,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_gen.add_argument("--atoms", type=_POSITIVE, default=4)
     p_gen.add_argument("--rules", type=_POSITIVE, default=3)
     p_gen.add_argument("--depth", type=_POSITIVE, default=3)
-    p_gen.add_argument("--family", default="random")
+    p_gen.add_argument("--family", choices=("random", *GROWTH_FAMILIES),
+                       default="random")
     p_gen.set_defaults(func=_cmd_gen)
 
     return parser

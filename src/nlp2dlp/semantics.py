@@ -17,7 +17,9 @@ a there-world T.  A rule is folded into the window's model bitmap as
 soon as its head and body slots are ready, and a slot's bitmap is
 released after its last reader.  So a call holds a few 2^_WINDOW-bit
 integers at a time, whatever the size of the alphabet, and the cap on
-the alphabet bounds its time only.
+the alphabet bounds its time only.  The HT loops visit only the
+there-worlds T whose <T, T> is an HT-model, found a window at a time by
+one pass of the HT engine over all the total pairs.
 
 Answer sets come from reducts, equilibrium models from the HT engine
 alone, so each checks the other.  The stability check of a candidate I
@@ -461,16 +463,23 @@ def _ht_holds(plan: _Plan, table: list[tuple[int, int]], full: int) -> int:
     return bm
 
 
-def _ht_blocks(plan: _Plan, atoms: list[Atom]
-               ) -> Iterator[tuple[int, int, int]]:
-    """For each there-world T, picked from the atoms by the bits of t,
-    and each window of its subsets: t, the window's base and the bitmap
-    of the HT-models <H, T> in it, bit i for the H picked from T by the
-    bits of base + i.  <T, T> is the top bit of T's first window."""
-    bits = _atom_bits(plan, atoms)
-    for t in range(1 << len(atoms)):
-        for base, full, table in _windows(bits, t, ht=True):
-            yield t, base, _ht_holds(plan, table, full)
+def _total_models(plan: _Plan, bits: list[int], n: int
+                  ) -> Iterator[tuple[int, int]]:
+    """Per window of the 2^n there-worlds T: its base and the bitmap of
+    the T for which <T, T> is an HT-model, in one pass over the diagonal
+    pairs.  No other T has an HT-model: each rule's clause at T is the
+    same for every H, and false in some rule unless <T, T> holds."""
+    for base, full, table in _windows(bits, (1 << n) - 1):
+        yield base, _ht_holds(plan, [(v, v) for v in table], full)
+
+
+def _ht_blocks(plan: _Plan, bits: list[int], t: int
+               ) -> Iterator[tuple[int, int]]:
+    """For the there-world T picked by the bits of t, per window of its
+    subsets: the window's base and the bitmap of the HT-models <H, T> in
+    it, bit i for the H picked from T by the bits of base + i."""
+    for base, full, table in _windows(bits, t, ht=True):
+        yield base, _ht_holds(plan, table, full)
 
 
 def _pair_table(plan: _Plan, here: Interpretation, there: Interpretation
@@ -496,11 +505,16 @@ def is_ht_model(program: Program, f: HTInterpretation) -> bool:
 def ht_models(program: Program, alphabet: Iterable[Atom],
               cap: int = DEFAULT_CAP) -> frozenset[HTInterpretation]:
     atoms = _check_cap(alphabet, cap)
+    plan = _compile(program.rules)
+    bits = _atom_bits(plan, atoms)
     models = set()
-    for t, base, bm in _ht_blocks(_compile(program.rules), atoms):
-        there = _picked(t, atoms)
-        models.update(HTInterpretation(_index_to_interp(i, there), there)
-                      for i in _iter_bits(bm, base))
+    for base, totals in _total_models(plan, bits, len(atoms)):
+        for t in _iter_bits(totals, base):
+            there = _picked(t, atoms)
+            for h_base, bm in _ht_blocks(plan, bits, t):
+                models.update(
+                    HTInterpretation(_index_to_interp(i, there), there)
+                    for i in _iter_bits(bm, h_base))
     return frozenset(models)
 
 
@@ -511,9 +525,19 @@ def ht_equivalent(p1: Program, p2: Program, alphabet: Iterable[Atom],
     if not (p1.var() | p2.var()) <= atoms:
         raise ValueError("alphabet must cover both programs")
     atom_list = _check_cap(atoms, cap)
-    return all(bm1 == bm2 for (_, _, bm1), (_, _, bm2) in zip(
-        _ht_blocks(_compile(p1.rules), atom_list),
-        _ht_blocks(_compile(p2.rules), atom_list)))
+    plan1, plan2 = _compile(p1.rules), _compile(p2.rules)
+    bits1, bits2 = _atom_bits(plan1, atom_list), _atom_bits(plan2, atom_list)
+    n = len(atom_list)
+    # a T where <T, T> is a model of one program only tells them apart
+    for (base, totals1), (_, totals2) in zip(_total_models(plan1, bits1, n),
+                                             _total_models(plan2, bits2, n)):
+        if totals1 != totals2:
+            return False
+        for t in _iter_bits(totals1, base):
+            if any(bm1 != bm2 for (_, bm1), (_, bm2) in zip(
+                    _ht_blocks(plan1, bits1, t), _ht_blocks(plan2, bits2, t))):
+                return False
+    return True
 
 
 def equilibrium_models(program: Program, alphabet: Iterable[Atom],
@@ -523,12 +547,13 @@ def equilibrium_models(program: Program, alphabet: Iterable[Atom],
     plan = _compile(program.rules)
     bits = _atom_bits(plan, atoms)
     found = []
-    for t in range(1 << len(atoms)):
-        # <T, T> is the top bit of T's first window; the other windows
-        # are read only while T is still accepted, and only until one
-        # holds a model
-        (_, full, table), *rest = _windows(bits, t, ht=True)
-        if _ht_holds(plan, table, full) == (full + 1) >> 1 and not any(
-                _ht_holds(plan, table, full) for _, full, table in rest):
-            found.append(t)
+    for base, totals in _total_models(plan, bits, len(atoms)):
+        for t in _iter_bits(totals, base):
+            # <T, T> holds and is the top bit of T's first window; the
+            # other windows are read only while T is still accepted, and
+            # only until one holds a model
+            (_, full, table), *rest = _windows(bits, t, ht=True)
+            if _ht_holds(plan, table, full) == (full + 1) >> 1 and not any(
+                    _ht_holds(plan, table, full) for _, full, table in rest):
+                found.append(t)
     return frozenset(_index_to_interp(t, atoms) for t in found)

@@ -288,6 +288,8 @@ def generate_program(config: GeneratorConfig) -> Program:
     n taken from ``max_rules``."""
     if config.family in GROWTH_FAMILIES:
         return family_program(config.family, max(1, config.max_rules))
+    if config.family != "random":
+        raise ValueError(f"unknown generator family {config.family!r}")
     rng = random.Random(config.seed)
     atoms = tuple(user_atom(n) for n in _atom_names(config.max_atoms))
     rules = _random_rules(rng, atoms, config.max_depth, config.max_rules)

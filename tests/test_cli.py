@@ -310,6 +310,7 @@ def test_unwritable_output_exits_2(tmp_path, capsys, monkeypatch):
     ["gen", "--seed", "1", "--rules", "-1"],
     ["gen", "--seed", "1", "--depth", "-1"],
     ["gen", "--seed", "1", "--atoms", "-2"],
+    ["gen", "--seed", "1", "--family", "bogus"],
 ])
 def test_out_of_range_flag_exits_2(args, capsys, monkeypatch):
     code, out, err = call_main(args, "p.", capsys, monkeypatch)

@@ -346,23 +346,59 @@ def test_answer_sets_enumerate_only_positive_atoms(monkeypatch):
     assert len(yielded) <= 2
 
 
+def _count_ht_holds(monkeypatch) -> list[int]:
+    calls = [0]
+    holds = semantics._ht_holds
+
+    def counted(*args):
+        calls[0] += 1
+        return holds(*args)
+
+    monkeypatch.setattr(semantics, "_ht_holds", counted)
+    return calls
+
+
 def test_equilibrium_models_skip_a_decided_there_world(monkeypatch):
     """With windows of 2 atoms each there-world T of this 8-atom program
     spans several windows; once T's first window rejects T, or a later
     one holds a model, the rest of T is not evaluated."""
     program = parse("a. b :- not c. c :- not b. d v e. f :- a, not g. "
                     "g :- h. h :- not f.")
-    calls = 0
-    holds = semantics._ht_holds
-
-    def counted(*args):
-        nonlocal calls
-        calls += 1
-        return holds(*args)
-
     monkeypatch.setattr(semantics, "_WINDOW", 2)
-    monkeypatch.setattr(semantics, "_ht_holds", counted)
+    calls = _count_ht_holds(monkeypatch)
     models = equilibrium_models(program, program.alphabet)
-    assert calls <= 520
+    assert calls[0] <= 520
     assert models == answer_sets(program, program.alphabet) == \
         naive_equilibrium_models(program, program.alphabet)
+
+
+EIGHT = [user_atom(f"a{i}") for i in range(1, 9)]
+
+
+@pytest.mark.parametrize("window, limit", [(16, 2), (2, 128)])
+def test_equilibrium_models_visit_only_total_models(window, limit,
+                                                    monkeypatch):
+    """<H, T> is an HT-model only if <T, T> is one: of the 256
+    there-worlds of the 8 facts only the whole alphabet is visited."""
+    facts = parse("a1. a2. a3. a4. a5. a6. a7. a8.")
+    monkeypatch.setattr(semantics, "_WINDOW", window)
+    calls = _count_ht_holds(monkeypatch)
+    assert equilibrium_models(facts, EIGHT) == {frozenset(EIGHT)}
+    assert calls[0] <= limit
+
+
+@pytest.mark.parametrize("window, limit", [(16, 2), (2, 128)])
+def test_ht_equivalent_differs_on_total_models(window, limit, monkeypatch):
+    """The constraint rules out <T, T> for T the whole alphabet only, so
+    the diagonal passes alone tell the programs apart."""
+    constraint = parse(":- a1, a2, a3, a4, a5, a6, a7, a8.")
+    monkeypatch.setattr(semantics, "_WINDOW", window)
+    calls = _count_ht_holds(monkeypatch)
+    assert not ht_equivalent(constraint, Program(()), EIGHT)
+    assert calls[0] <= limit
+
+
+def test_ht_equivalent_compares_blocks_of_shared_total_models():
+    """p v not p and the empty program have the same total models over
+    {p}; only <{}, {p}> tells them apart."""
+    assert not ht_equivalent(parse("p v not p."), Program(()), {pa})

@@ -136,3 +136,8 @@ def test_generator_respects_bounds(corpus):
 def test_generator_family_dispatch():
     config = GeneratorConfig(seed=0, family="dnf_head", max_rules=3)
     assert generate_program(config).rules == family_program("dnf_head", 3).rules
+
+
+def test_generator_rejects_unknown_family():
+    with pytest.raises(ValueError, match="bogus"):
+        generate_program(GeneratorConfig(seed=0, family="bogus"))
