@@ -24,7 +24,7 @@ from .semantics import DEFAULT_CAP, Interpretation, answer_sets, equilibrium_mod
 from .syntax import Atom, Program
 from .textio import _error, parse, parse_atom, print_dlv, print_nested
 from .verify import (
-    GROWTH_FAMILIES, GeneratorConfig, check_faithful, check_modular,
+    GROWTH_FAMILIES, MODES, GeneratorConfig, check_faithful, check_modular,
     check_strongly_faithful, generate_program, growth_csv, measure_growth,
     translate_mode,
 )
@@ -200,8 +200,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_tr = sub.add_parser("translate", help="compile to DLV syntax")
-    p_tr.add_argument("--mode", choices=("structural", "distributive",
-                                         "polarity"), default="structural")
+    p_tr.add_argument("--mode", choices=MODES, default="structural")
     p_tr.add_argument("--simplify", action="store_true",
                       help="do not label the truth constants")
     p_tr.add_argument("-i", "--input", default=None)
@@ -220,8 +219,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_check = sub.add_parser("check", help="verify translation properties")
     p_check.add_argument("kind", choices=("faithful", "strong", "modular",
                                           "props"))
-    p_check.add_argument("--mode", choices=("structural", "distributive",
-                                            "polarity"), default="structural")
+    p_check.add_argument("--mode", choices=MODES, default="structural")
     p_check.add_argument("--contexts", type=_POSITIVE, default=25)
     p_check.add_argument("--seed", type=int, default=0)
     p_check.add_argument("--cap", type=_NON_NEGATIVE, default=DEFAULT_CAP + 4)

@@ -5,21 +5,21 @@ Everything works by explicit enumeration over a caller-supplied alphabet
 and is intended as a desk-scale oracle, not a solver.
 
 Each call compiles the rules once into a flat plan: the distinct
-subformulas in post-order, one slot each, where structurally equal
-subtrees share a slot and each step reads only earlier slots.  Every
-evaluator is a loop over that plan, so none recurses, and each is
-bit-parallel.  Interpretations are numbered by the bits of an index and
-evaluated in windows of at most 2^_WINDOW at a time: in a window the
-lowest _WINDOW atoms vary and every higher one is a constant, all-ones
-or 0.  Classical truth over a window is one integer per slot; HT truth
-is a pair of them, the truth at H and at T, with one bit per subset H of
-a there-world T.  A rule is folded into the window's model bitmap as
-soon as its head and body slots are ready, and a slot's bitmap is
-released after its last reader.  So a call holds a few 2^_WINDOW-bit
-integers at a time, whatever the size of the alphabet, and the cap on
-the alphabet bounds its time only.  The HT loops visit only the
-there-worlds T whose <T, T> is an HT-model, found a window at a time by
-one pass of the HT engine over all the total pairs.
+subformulas in post-order, as ``syntax`` lists them, one slot each, so
+structurally equal subtrees share a slot and each step reads only
+earlier slots.  Every evaluator is a loop over that plan, so none
+recurses, and each is bit-parallel.  Interpretations are numbered by the
+bits of an index and evaluated in windows of at most 2^_WINDOW at a
+time: in a window the lowest _WINDOW atoms vary and every higher one is
+a constant, all-ones or 0.  Classical truth over a window is one integer
+per slot; HT truth is a pair of them, the truth at H and at T, with one
+bit per subset H of a there-world T.  A rule is folded into the window's
+model bitmap as soon as its head and body slots are ready, and a slot's
+bitmap is released after its last reader.  So a call holds a few
+2^_WINDOW-bit integers at a time, whatever the size of the alphabet, and
+the cap on the alphabet bounds its time only.  The HT loops visit only
+the there-worlds T whose <T, T> is an HT-model, found a window at a time
+by one pass of the HT engine over all the total pairs.
 
 Answer sets come from reducts, equilibrium models from the HT engine
 alone, so each checks the other.  The stability check of a candidate I
@@ -39,7 +39,7 @@ from typing import Iterable, Iterator
 from .errors import ResourceLimitError
 from .syntax import (
     BOT, TOP, And, Atom, Expr, Not, Or, Program, Rule, Top, Var,
-    negation_free,
+    negation_free, _new_subformulas,
 )
 
 DEFAULT_CAP = 20
@@ -106,37 +106,21 @@ def _compile(rules: Iterable[Rule]) -> _Plan:
     atom_index: dict[Atom, int] = {}
     ops: list[tuple[int, int, int]] = []
     roots: list[tuple[int, int]] = []
+    seen: set[Expr] = set()
     for rule in rules:
         for root in (rule.head, rule.body):
-            done: list[int] = []
-            stack: list[tuple[Expr, bool]] = [(root, False)]
-            while stack:
-                e, expanded = stack.pop()
-                if not expanded:
-                    slot = slot_of.get(e)
-                    if slot is not None:
-                        done.append(slot)
-                        continue
-                    stack.append((e, True))
-                    if isinstance(e, Not):
-                        stack.append((e.child, False))
-                    elif isinstance(e, (And, Or)):
-                        stack.append((e.right, False))
-                        stack.append((e.left, False))
-                    continue
+            for e in _new_subformulas(root, False, seen):
                 if isinstance(e, Var):
                     index = atom_index.setdefault(e.atom, len(atom_index))
                     op = (_VAR, index, 0)
                 elif isinstance(e, Not):
-                    op = (_NOT, done.pop(), 0)
+                    op = (_NOT, slot_of[e.child], 0)
                 elif isinstance(e, (And, Or)):
-                    right = done.pop()
                     binary = _AND if isinstance(e, And) else _OR
-                    op = (binary, done.pop(), right)
+                    op = (binary, slot_of[e.left], slot_of[e.right])
                 else:
                     op = (_TOP if isinstance(e, Top) else _BOT, 0, 0)
                 slot_of[e] = len(ops)
-                done.append(len(ops))
                 ops.append(op)
         roots.append((slot_of[rule.head], slot_of[rule.body]))
 

@@ -27,7 +27,7 @@ import re
 from .errors import NotDisjunctiveError, ParseError
 from .syntax import (
     BAR_PREFIX, BOT, LABEL_PREFIX, TOP, And, Atom, AtomKind, Bot, Expr, Not,
-    Or, Program, ProgramClass, Rule, Top, Var, classify, _leaves, _rule_rank,
+    Or, Program, ProgramClass, Rule, Top, Var, _leaves, _rule_rank,
 )
 
 # whitespace and comments, then a lexeme: a token, a character that
@@ -337,9 +337,10 @@ def print_dlv(program: Program) -> str:
     The program must classify as disjunctive (or basic); otherwise the
     first offending rule is reported.
     """
-    if classify(program).value > ProgramClass.DISJUNCTIVE.value:
-        bad = next(r for r in program.rules
-                   if _rule_rank(r) > ProgramClass.DISJUNCTIVE.value)
+    # an enum's ``value`` is a property: read it once, not once per rule
+    limit = ProgramClass.DISJUNCTIVE.value
+    bad = next((r for r in program.rules if _rule_rank(r) > limit), None)
+    if bad is not None:
         raise NotDisjunctiveError(
             f"not in disjunctive form: {format_rule(bad)}")
     return "".join([line + "\n"

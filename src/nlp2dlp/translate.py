@@ -30,24 +30,23 @@ class AtomTable:
     """Bookkeeping for the generated alphabets.
 
     Labels are keyed by structural equality, so identical subformulas
-    share one label; the first occurrence in program order receives the
-    lowest index.  ``formulas`` maps each label back to its subformula,
-    and ``bars`` maps each user atom to its bar atom.
+    share one label, the L_phi of the subformula phi: a table shared by
+    several translations names each subformula alike in all of them.
+    The first occurrence receives the lowest index.  ``bars`` maps each
+    user atom to its bar atom.
     """
 
     labels: dict[Expr, Atom] = field(default_factory=dict)
     bars: dict[Atom, Atom] = field(default_factory=dict)
-    next_label_index: int = 0
-    formulas: dict[Atom, Expr] = field(default_factory=dict, init=False,
-                                       repr=False, compare=False)
+
+    @property
+    def next_label_index(self) -> int:
+        return len(self.labels)
 
     def label(self, expr: Expr) -> Atom:
         atom = self.labels.get(expr)
         if atom is None:
-            atom = label_atom(self.next_label_index)
-            self.next_label_index += 1
-            self.labels[expr] = atom
-            self.formulas[atom] = expr
+            atom = self.labels[expr] = label_atom(len(self.labels))
         return atom
 
     def bar(self, atom: Atom) -> Atom:
@@ -56,12 +55,6 @@ class AtomTable:
             barred = bar_atom(atom)
             self.bars[atom] = barred
         return barred
-
-    def formula_of(self, label: Atom) -> Expr:
-        expr = self.formulas.get(label)
-        if expr is None:
-            raise KeyError(label.name)
-        return expr
 
 
 @dataclass(frozen=True)
@@ -290,10 +283,10 @@ def tr4(program: Program, table: AtomTable) -> Program:
                             program.var() | created)
 
 
-def _structural_pipeline(program: Program, *, polarity: bool = False,
-                         simplify: bool = False
-                         ) -> tuple[Program, AtomTable, TranslationReport]:
-    table = AtomTable()
+def _structural_pipeline(program: Program, table: AtomTable, *,
+                         polarity: bool = False, simplify: bool = False
+                         ) -> tuple[Program, TranslationReport]:
+    labels_before, bars_before = len(table.labels), len(table.bars)
     staged = tr1(program)
     staged = tr2(staged, table, polarity=polarity, simplify=simplify)
     staged = tr3(staged)
@@ -304,27 +297,25 @@ def _structural_pipeline(program: Program, *, polarity: bool = False,
         output_size=program_size(staged),
         rules_in=len(program.rules),
         rules_out=len(staged.rules),
-        labels_created=table.next_label_index,
-        bars_created=len(table.bars),
+        labels_created=len(table.labels) - labels_before,
+        bars_created=len(table.bars) - bars_before,
         mode="polarity" if polarity else "structural",
     )
-    return staged, table, report
+    return staged, report
 
 
 def translate_structural(program: Program, simplify: bool = False
                          ) -> tuple[Program, TranslationReport]:
     """Polynomial, strongly faithful, modular translation into a
     disjunctive program over user, label and bar atoms."""
-    translated, _, report = _structural_pipeline(program, simplify=simplify)
-    return translated, report
+    return _structural_pipeline(program, AtomTable(), simplify=simplify)
 
 
 def translate_polarity_variant(program: Program, simplify: bool = False
                                ) -> tuple[Program, TranslationReport]:
     """Polarity-reduced labeling: smaller output, unsound projection."""
-    translated, _, report = _structural_pipeline(
-        program, polarity=True, simplify=simplify)
-    return translated, report
+    return _structural_pipeline(program, AtomTable(), polarity=True,
+                                simplify=simplify)
 
 
 class _NodeBudget:

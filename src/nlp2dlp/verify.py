@@ -1,9 +1,12 @@
 """Empirical checks for the translation's meta-properties.
 
-Faithfulness, strong faithfulness and modularity are validated against
-the enumeration oracle on concrete programs; polynomiality is exhibited
-by measuring growth against the distributive translation on the
-worst-case rule families.
+Faithfulness and strong faithfulness are validated against the
+enumeration oracle on concrete programs.  Modularity is checked by
+comparing rule sets: the translations of two programs and of their
+union share one label table, so each subformula phi is labelled L_phi
+in all three, as in the paper.  Polynomiality is exhibited by measuring
+growth against the distributive translation on the worst-case rule
+families.
 """
 
 from __future__ import annotations
@@ -15,7 +18,7 @@ from typing import Iterable, Sequence
 from .errors import ResourceLimitError
 from .semantics import Interpretation, answer_sets
 from .syntax import (
-    BOT, TOP, And, Atom, Expr, Not, Or, Program, Rule, Top, Var, conjunction,
+    BOT, TOP, And, Atom, Expr, Not, Or, Program, Rule, Var, conjunction,
     disjunction, user_atom,
 )
 from .translate import (
@@ -24,6 +27,8 @@ from .translate import (
 )
 
 DEFAULT_VERIFY_CAP = 24
+
+MODES = ("structural", "distributive", "polarity")
 
 GROWTH_FAMILIES = ("dnf_head", "cnf_body")
 
@@ -119,71 +124,15 @@ def check_strongly_faithful(program: Program, contexts: int,
     return verdicts
 
 
-def _tree_key(root: Expr, ids: dict[tuple, int], labels: dict[Atom, int],
-              memo: dict[int, tuple[Expr, int]]) -> int:
-    """Number of the tree ``root`` in ``ids``, built bottom-up from its
-    children's numbers, so that equal numbers mean structurally equal
-    trees; an atom in ``labels`` stands for the formula numbered there.
-    ``memo`` maps the id of each node numbered so far to the node, which
-    keeps the id from being reused, and its number."""
-    done: list[int] = []
-    stack: list[tuple[Expr, bool]] = [(root, False)]
-    while stack:
-        e, expanded = stack.pop()
-        if not expanded:
-            hit = memo.get(id(e))
-            if hit is not None:
-                done.append(hit[1])
-                continue
-            stack.append((e, True))
-            if isinstance(e, Not):
-                stack.append((e.child, False))
-            elif isinstance(e, (And, Or)):
-                stack.append((e.right, False))
-                stack.append((e.left, False))
-            continue
-        if isinstance(e, Var):
-            label = labels.get(e.atom)
-            node = ("atom", e.atom.name) if label is None else ("label", label)
-        elif isinstance(e, Not):
-            node = ("not", done.pop())
-        elif isinstance(e, (And, Or)):
-            right = done.pop()
-            node = ("and" if isinstance(e, And) else "or", done.pop(), right)
-        else:
-            node = ("true",) if isinstance(e, Top) else ("false",)
-        key = ids.setdefault(node, len(ids))
-        memo[id(e)] = (e, key)
-        done.append(key)
-    return done.pop()
-
-
-def _canonical_rules(program: Program, table: AtomTable, ids: dict[tuple, int],
-                     formula_memo: dict[int, tuple[Expr, int]]
-                     ) -> frozenset[tuple[int, int]]:
-    """Each rule as the numbers of its head and body, a label atom
-    standing for its formula; rule sets numbered with one ``ids`` are
-    equal exactly when they are equal modulo the labels' numbering."""
-    labels = {atom: _tree_key(formula, ids, {}, formula_memo)
-              for atom, formula in table.formulas.items()}
-    memo: dict[int, tuple[Expr, int]] = {}
-    return frozenset((_tree_key(r.head, ids, labels, memo),
-                      _tree_key(r.body, ids, labels, memo))
-                     for r in program.rules)
-
-
 def check_modular(p1: Program, p2: Program) -> bool:
     """The structural translation commutes with program union, compared
-    as rule sets modulo the structural relabeling of label atoms."""
-    union, union_table, _ = _structural_pipeline(p1.union(p2))
-    t1, table1, _ = _structural_pipeline(p1)
-    t2, table2, _ = _structural_pipeline(p2)
-    ids: dict[tuple, int] = {}
-    formula_memo: dict[int, tuple[Expr, int]] = {}
-    lhs = _canonical_rules(union, union_table, ids, formula_memo)
-    rhs = _canonical_rules(t1, table1, ids, formula_memo) | \
-        _canonical_rules(t2, table2, ids, formula_memo)
-    return lhs == rhs
+    as rule sets.  The three translations share one label table, so each
+    subformula phi has the one label L_phi in all of them."""
+    table = AtomTable()
+    union, _ = _structural_pipeline(p1.union(p2), table)
+    t1, _ = _structural_pipeline(p1, table)
+    t2, _ = _structural_pipeline(p2, table)
+    return set(union.rules) == set(t1.rules) | set(t2.rules)
 
 
 def family_program(family: str, n: int) -> Program:

@@ -217,6 +217,17 @@ def test_shared_subtrees_match_naive_oracle(corpus):
             naive_equilibrium_models(shared, alphabet)
 
 
+def test_plan_has_one_step_per_distinct_subformula(corpus):
+    rng = random.Random(5)
+    for program in corpus:
+        translated, _ = translate_structural(program)
+        shared = _with_shared_subtrees(program, rng)
+        for rules in (program.rules, translated.rules, shared.rules):
+            distinct = {s for r in rules for e in (r.head, r.body)
+                        for s in subformulas(e)}
+            assert len(semantics._compile(rules).steps) == len(distinct)
+
+
 def test_evaluators_on_deep_negation_chain():
     chain = p
     for _ in range(10_000):

@@ -93,7 +93,7 @@ def test_tr2_shares_labels_across_rules():
     table = AtomTable()
     out = tr2(parse("p :- not q. r :- not q."), table)
     assert table.next_label_index == 3  # p, not q, r and nothing else
-    assert table.formula_of(label_atom(1)) == Not(q)
+    assert table.labels[Not(q)] is label_atom(1)
     assert len(out.rules) == 2 + 2 * 3
 
 

@@ -1,10 +1,14 @@
 import pytest
 
 from nlp2dlp import (
-    GeneratorConfig, Program, ProgramClass, TOP, Var, check_faithful,
-    check_modular, check_strongly_faithful, classify, family_program,
-    generate_program, growth_csv, measure_growth, parse, user_atom,
+    BOT, And, GeneratorConfig, Not, Program, ProgramClass, Rule, TOP, Var,
+    check_faithful, check_modular, check_strongly_faithful, classify,
+    family_program, generate_program, growth_csv, measure_growth, parse,
+    translate, user_atom,
 )
+from nlp2dlp.cli import main
+
+_TR2, _TR4 = translate.tr2, translate.tr4
 
 pa, qa, ra = user_atom("p"), user_atom("q"), user_atom("r")
 CLOSING = "p. q. r v (p, q)."
@@ -74,6 +78,39 @@ def test_check_modular_with_shared_subformulas():
     p1 = parse("a :- not (b, c).")
     p2 = parse("d :- not (b, c).")
     assert check_modular(p1, p2)
+
+
+def _tr4_first_bar_only(program, table):
+    """tr4 keeping the ``:- p, n_p`` / ``n_p :- not p`` pair of the first
+    barred atom only."""
+    out = _TR4(program, table)
+    every_pair = {rule for atom, bar in table.bars.items()
+                  for rule in (Rule(BOT, And(Var(atom), Var(bar))),
+                               Rule(Var(bar), Not(Var(atom))))}
+    pairs = [r for r in out.rules if r in every_pair]
+    return Program(tuple(r for r in out.rules if r not in pairs[2:]),
+                   out.alphabet)
+
+
+def _tr2_without_last_aux(program, table, **options):
+    out = _TR2(program, table, **options)
+    return Program(out.rules[:-1], out.alphabet)
+
+
+@pytest.mark.parametrize("stage, mutant", [("tr4", _tr4_first_bar_only),
+                                           ("tr2", _tr2_without_last_aux)])
+def test_check_modular_fails_on_a_non_modular_stage(stage, mutant, tmp_path,
+                                                    capsys, monkeypatch):
+    one, two = "not p :- q.\n", "not q :- p.\n"
+    assert check_modular(parse(one), parse(two))
+    monkeypatch.setattr(translate, stage, mutant)
+    assert not check_modular(parse(one), parse(two))
+    (tmp_path / "one.lp").write_text(one)
+    (tmp_path / "two.lp").write_text(two)
+    code = main(["check", "modular", "-i", str(tmp_path / "one.lp"),
+                 "-j", str(tmp_path / "two.lp")])
+    assert code == 1
+    assert capsys.readouterr().out == "modular: no\n"
 
 
 def test_family_program_shapes():
