@@ -6,8 +6,9 @@ body ``true`` and constraints carry head ``false``.  The alphabet is
 partitioned into user atoms, generated labels (``l_<index>``) and bar
 atoms (``n_<atom>``) standing for negated heads.
 
-Every node stores its structural hash and its node count, so hashing,
-unequal comparisons and sizes cost O(1) whatever the size of the tree.
+Every node stores its structural hash, its node count and two class
+ranks, so hashing, unequal comparisons, sizes and the syntactic class of
+a rule cost O(1) whatever the size of the tree.
 Every traversal keeps an explicit stack instead of recursing, so a long
 rule body or a deep nesting costs time linear in its size and never
 meets Python's recursion limit.
@@ -114,17 +115,40 @@ def bar_atom(atom: Atom) -> Atom:
     return _ATOMS.get(name) or Atom(name, AtomKind.BAR)
 
 
+class ProgramClass(Enum):
+    """Syntactic program classes, nested by inclusion (small to large)."""
+
+    BASIC = 0
+    DISJUNCTIVE = 1
+    GENERALIZED_DISJUNCTIVE = 2
+    GDLP_HT = 3
+    NNF = 4
+    NESTED = 5
+
+
+_CLASSES = tuple(ProgramClass)
+_BASIC, _DISJ, _GDISJ, _GDLP_HT, _NNF, _NESTED = (c.value for c in _CLASSES)
+
+
 class Expr:
     """Base of the expression nodes.
 
-    Nodes are immutable once built.  Each stores its structural hash and
-    its node count, computed once in ``__init__`` from what its children
-    already store, so hashing and sizing are O(1) and unequal hashes
-    settle ``==`` at once; only equal-looking trees are compared field by
-    field.
+    Nodes are immutable once built.  Each stores its structural hash, its
+    node count and two class ranks, computed once in ``__init__`` from
+    what its children already store, so hashing and sizing are O(1) and
+    unequal hashes settle ``==`` at once; only equal-looking trees are
+    compared field by field.
+
+    The ranks are the ``ProgramClass`` value of the most specific class
+    of the rule ``e :- true`` (``_hrank``, the node as a head disjunct)
+    and of the rule ``false :- e`` (``_brank``, the node as a body
+    conjunct).  Either is at most ``NNF`` exactly when the node is in HT
+    negational normal form.  The leaves are ``BASIC`` in both, as class
+    constants; ``Not``, ``And`` and ``Or`` store theirs.
     """
 
     __slots__ = ("_hash", "_size")
+    _hrank = _brank = _BASIC
 
     def __hash__(self) -> int:
         return self._hash
@@ -200,32 +224,49 @@ class Var(Expr):
 
 
 class Not(Expr):
-    __slots__ = ("child",)
+    __slots__ = ("child", "_hrank", "_brank")
 
     def __init__(self, child: Expr):
         self.child = child
         self._hash = hash((_NOT, child._hash))
-        self._size = child._size + 1
+        size = self._size = child._size + 1
+        # a child of one node is an atom or a truth constant, and a
+        # child of two is a ``not`` over one
+        if size == 2:
+            self._hrank = _GDISJ if type(child) is Var else _DISJ
+            self._brank = _DISJ
+        elif size == 3:
+            self._hrank = self._brank = _GDLP_HT
+        else:
+            self._hrank = self._brank = _NESTED
 
 
 class And(Expr):
-    __slots__ = ("left", "right")
+    __slots__ = ("left", "right", "_hrank", "_brank")
 
     def __init__(self, left: Expr, right: Expr):
         self.left = left
         self.right = right
         self._hash = hash((_AND, left._hash, right._hash))
         self._size = left._size + right._size + 1
+        rank = self._brank = left._brank if left._brank > right._brank \
+            else right._brank
+        # a conjunction in a head is NNF at best
+        self._hrank = rank if rank > _NNF else _NNF
 
 
 class Or(Expr):
-    __slots__ = ("left", "right")
+    __slots__ = ("left", "right", "_hrank", "_brank")
 
     def __init__(self, left: Expr, right: Expr):
         self.left = left
         self.right = right
         self._hash = hash((_OR, left._hash, right._hash))
         self._size = left._size + right._size + 1
+        rank = self._hrank = left._hrank if left._hrank > right._hrank \
+            else right._hrank
+        # a disjunction in a body is NNF at best
+        self._brank = rank if rank > _NNF else _NNF
 
 
 TOP = Top()
@@ -331,27 +372,17 @@ def negation_free(expr: Expr) -> bool:
 
 def is_ht_nnf(expr: Expr) -> bool:
     """Built from HT-literals, conjunction and disjunction only."""
-    stack = [expr]
-    while stack:
-        e = stack.pop()
-        if isinstance(e, (And, Or)):
-            stack.append(e.left)
-            stack.append(e.right)
-        elif not is_ht_literal(e):
-            return False
-    return True
+    return expr._brank <= _NNF
 
 
 class Rule:
     """``head :- body``; immutable once built, like its expressions."""
 
-    __slots__ = ("head", "body", "_rank")
+    __slots__ = ("head", "body")
 
     def __init__(self, head: Expr, body: Expr):
         self.head = head
         self.body = body
-        # class value, set by the first _rule_rank call
-        self._rank: int | None = None
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Rule):
@@ -405,63 +436,10 @@ class Program:
         return len(self.rules)
 
 
-class ProgramClass(Enum):
-    """Syntactic program classes, nested by inclusion (small to large)."""
-
-    BASIC = 0
-    DISJUNCTIVE = 1
-    GENERALIZED_DISJUNCTIVE = 2
-    GDLP_HT = 3
-    NNF = 4
-    NESTED = 5
-
-
-_CLASSES = tuple(ProgramClass)
-_BASIC, _DISJ, _GDISJ, _GDLP_HT, _NNF, _NESTED = (c.value for c in _CLASSES)
-_ATOMIC = (Var, Top, Bot)
-
-
 def _rule_rank(rule: Rule) -> int:
     """Value of the most specific class of a one-rule program."""
-    if rule._rank is None:
-        rule._rank = _read_rank(rule)
-    return rule._rank
-
-
-def _read_rank(rule: Rule) -> int:
-    """``_rule_rank``, read off the head disjuncts and body conjuncts in
-    one pass."""
-    # the commonest shapes of a staged rule: ``a :- b``, ``a :- b, c``
-    # and ``a v b :- c``, over atoms or truth constants
-    head, body = rule.head, rule.body
-    if isinstance(head, _ATOMIC):
-        if isinstance(body, _ATOMIC) or isinstance(body, And) \
-                and isinstance(body.left, _ATOMIC) \
-                and isinstance(body.right, _ATOMIC):
-            return _BASIC
-    elif isinstance(head, Or) and isinstance(body, _ATOMIC) \
-            and isinstance(head.left, _ATOMIC) \
-            and isinstance(head.right, _ATOMIC):
-        return _BASIC
-    rank = _BASIC
-    for root, op in ((head, Or), (body, And)):
-        for e in _leaves(root, op) if isinstance(root, op) else (root,):
-            if isinstance(e, _ATOMIC):
-                continue
-            child = e.child if isinstance(e, Not) else None
-            if isinstance(child, Var) and op is Or:
-                r = _GDISJ
-            elif isinstance(child, _ATOMIC):
-                r = _DISJ
-            elif isinstance(child, Not) and isinstance(child.child, _ATOMIC):
-                r = _GDLP_HT
-            else:
-                r = _NNF
-            if r > rank:
-                rank = r
-    if rank == _NNF and not (is_ht_nnf(rule.head) and is_ht_nnf(rule.body)):
-        return _NESTED
-    return rank
+    head, body = rule.head._hrank, rule.body._brank
+    return head if head > body else body
 
 
 def program_in_class(program: Program, cls: ProgramClass) -> bool:

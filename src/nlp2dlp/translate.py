@@ -21,8 +21,10 @@ from .errors import ResourceLimitError, StageInputError
 from .syntax import (
     BOT, TOP, And, Atom, Bot, Expr, Not, Or, Program, ProgramClass, Rule,
     Top, Var, bar_atom, conjuncts, disjunction, disjuncts, conjunction,
-    is_ht_literal, label_atom, program_size, _new_subformulas, _rule_rank,
+    is_ht_literal, is_ht_nnf, label_atom, program_size, _new_subformulas,
+    _rule_rank,
 )
+from .textio import format_rule
 
 
 @dataclass
@@ -83,7 +85,8 @@ def normalize_nnf(expr: Expr) -> Expr:
     """HT negational normal form of an expression.
 
     The result is built from HT-literals, conjunctions and disjunctions,
-    and has the same HT-models as the input.
+    and has the same HT-models as the input.  A subtree already in that
+    form is kept as it is, not rebuilt.
     """
     done: list[Expr] = []
     # inputs still to normalize, last first, and the connective that
@@ -99,7 +102,7 @@ def normalize_nnf(expr: Expr) -> Expr:
         while isinstance(e, Not) and isinstance(e.child, Not) \
                 and isinstance(e.child.child, Not):
             e = Not(e.child.child.child)
-        if is_ht_literal(e):
+        if is_ht_nnf(e):
             done.append(e)
             continue
         if isinstance(e, (And, Or)):
@@ -127,13 +130,14 @@ def tr1(program: Program) -> Program:
     )
 
 
-def _require(program: Program, cls: ProgramClass, stage: str) -> list[int]:
-    """The class value of each rule, once all are within ``cls``."""
-    ranks = [_rule_rank(r) for r in program.rules]
-    if ranks and max(ranks) > cls.value:
-        raise StageInputError(
-            f"{stage} expects a program in class {cls.name.lower()}")
-    return ranks
+def _require(program: Program, cls: ProgramClass, stage: str) -> None:
+    """Raise ``StageInputError`` at the first rule outside ``cls``."""
+    limit = cls.value
+    for index, rule in enumerate(program.rules):
+        if _rule_rank(rule) > limit:
+            raise StageInputError(
+                f"{stage} expects a program in class {cls.name.lower()}; "
+                f"rule {index}: {format_rule(rule)}")
 
 
 def tr2(program: Program, table: AtomTable, *, polarity: bool = False,
@@ -216,11 +220,11 @@ def tr3(program: Program) -> Program:
     body literal ``not not q`` becomes a head literal ``not q``.  Head
     occurrences are removed left-to-right before body occurrences.
     """
-    ranks = _require(program, ProgramClass.GDLP_HT, "tr3")
+    _require(program, ProgramClass.GDLP_HT, "tr3")
     ht = ProgramClass.GDLP_HT.value
     out = []
-    for rule, rank in zip(program.rules, ranks):
-        if rank < ht:
+    for rule in program.rules:
+        if _rule_rank(rule) < ht:
             # a rule of literals only: no double negation to move
             out.append(rule)
             continue
@@ -254,13 +258,13 @@ def tr4(program: Program, table: AtomTable) -> Program:
     becomes the bar atom of p, and the constraint ``:- p, n_p`` plus the
     rule ``n_p :- not p`` are appended once.
     """
-    ranks = _require(program, ProgramClass.GENERALIZED_DISJUNCTIVE, "tr4")
+    _require(program, ProgramClass.GENERALIZED_DISJUNCTIVE, "tr4")
     generalized = ProgramClass.GENERALIZED_DISJUNCTIVE.value
     # insertion-ordered, so the bar rules follow the first occurrences
     barred: dict[Atom, Var] = {}
     rules = []
-    for rule, rank in zip(program.rules, ranks):
-        if rank < generalized:
+    for rule in program.rules:
+        if _rule_rank(rule) < generalized:
             # disjunctive already: no negated head atom
             rules.append(rule)
             continue

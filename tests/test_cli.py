@@ -216,16 +216,6 @@ def test_oracle_on_deep_body(tmp_path):
     assert code == 0
 
 
-def test_recursion_error_exits_3_with_one_line(capsys, monkeypatch):
-    def too_deep(args):
-        raise RecursionError("maximum recursion depth exceeded")
-
-    monkeypatch.setattr("nlp2dlp.cli._cmd_solve", too_deep)
-    code, _, err = call_main(["solve"], "p.", capsys, monkeypatch)
-    assert code == 3
-    assert err.startswith("resource error:") and len(err.splitlines()) == 1
-
-
 def test_internal_error_exits_4_after_its_traceback(capsys, monkeypatch):
     def broken(args):
         raise KeyError("missing")
@@ -311,6 +301,7 @@ def test_unwritable_output_exits_2(tmp_path, capsys, monkeypatch):
     ["gen", "--seed", "1", "--depth", "-1"],
     ["gen", "--seed", "1", "--atoms", "-2"],
     ["gen", "--seed", "1", "--family", "bogus"],
+    ["gen", "--seed", "1", "--depth", "49"],
 ])
 def test_out_of_range_flag_exits_2(args, capsys, monkeypatch):
     code, out, err = call_main(args, "p.", capsys, monkeypatch)
@@ -324,6 +315,7 @@ def test_out_of_range_flag_exits_2(args, capsys, monkeypatch):
     (["stats", "--family", "dnf_head", "--n-max", "1", "--guard", "0"], 0),
     (["gen", "--seed", "1", "--atoms", "1", "--rules", "1", "--depth", "1"],
      0),
+    (["gen", "--seed", "1", "--depth", "48"], 0),
 ])
 def test_flag_range_bounds_are_accepted(args, expected, capsys, monkeypatch):
     code, _, err = call_main(args, "p.", capsys, monkeypatch)

@@ -4,12 +4,15 @@ import pickle
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import reference_classifier as reference
 from nlp2dlp import (
-    TOP, And, Atom, AtomKind, Bot, Not, Or, Program, ProgramClass, Rule,
-    Top, Var, bar_atom, classify, expr_size, format_expr, label_atom,
-    program_in_class, program_size, subformulas, user_atom,
+    TOP, And, Atom, AtomKind, AtomTable, Bot, GeneratorConfig, Not, Or,
+    Program, ProgramClass, ResourceLimitError, Rule, Top, Var, bar_atom,
+    classify, expr_size, format_expr, generate_program, is_ht_nnf,
+    label_atom, program_in_class, program_size, subformulas, tr1, tr2, tr3,
+    tr4, translate_distributive, user_atom,
 )
-from nlp2dlp.syntax import walk
+from nlp2dlp.syntax import _rule_rank, walk
 from nlp2dlp.textio import parse_atom
 
 p, q, r = Var(user_atom("p")), Var(user_atom("q")), Var(user_atom("r"))
@@ -179,3 +182,46 @@ def test_stored_size_is_the_node_count(x, y):
     program = Program((Rule(a, c), Rule(shared, TOP)))
     assert program_size(program) == sum(
         _counted_nodes(e) for e in (a, c, shared, TOP)) + 2
+
+
+@settings(max_examples=300, deadline=None)
+@given(x=_blueprints, y=_blueprints)
+def test_stored_ranks_match_the_reference_walk(x, y):
+    a, c = _build(x), _build(y)
+    for e in (a, c, And(a, c), Or(a, Not(c))):
+        assert is_ht_nnf(e) == reference.is_ht_nnf(e)
+    for rule in (Rule(a, c), Rule(Or(a, c), And(c, a))):
+        assert _rule_rank(rule) == reference.rule_rank(rule)
+
+
+def _stages(program):
+    """The program, and what each stage of every translation makes of it."""
+    yield program
+    nnf = tr1(program)
+    yield nnf
+    for options in ({}, {"polarity": True}, {"simplify": True}):
+        table = AtomTable()
+        labelled = tr2(nnf, table, **options)
+        literal = tr3(labelled)
+        yield from (labelled, literal, tr4(literal, table))
+    try:
+        yield translate_distributive(program, max_nodes=20_000)[0]
+    except ResourceLimitError:
+        pass
+
+
+def test_rule_rank_matches_the_reference_on_every_stage(corpus):
+    golden = [generate_program(GeneratorConfig(seed=seed,
+                                               max_atoms=1 + seed % 6))
+              for seed in range(300)]
+    seeded = [generate_program(GeneratorConfig(
+        seed=seed, max_atoms=6, max_depth=4, max_rules=5))
+        for seed in range(300)]
+    reached = set()
+    for program in corpus + golden + seeded:
+        for staged in _stages(program):
+            for rule in staged.rules:
+                rank = _rule_rank(rule)
+                assert rank == reference.rule_rank(rule), rule
+                reached.add(rank)
+    assert reached == {c.value for c in ProgramClass}

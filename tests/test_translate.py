@@ -1,3 +1,5 @@
+import re
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -63,6 +65,17 @@ def test_normalize_nnf_property(expr):
     assert _single_rule_ht_equivalent(expr, normalized)
 
 
+def test_normalize_nnf_keeps_ht_nnf_trees(corpus):
+    for program in corpus:
+        for rule in tr1(program).rules:
+            for e in (rule.head, rule.body):
+                assert normalize_nnf(e) is e
+    # a triple negation is not HT-NNF, and still rewrites, also inside
+    triple = Not(Not(Not(p)))
+    assert normalize_nnf(triple) == Not(p)
+    assert normalize_nnf(And(q, triple)) == And(q, Not(p))
+
+
 def test_tr1_examples():
     prog = parse("p :- not (q v r).")
     assert tr1(prog).rules == (Rule(p, And(Not(q), Not(r))),)
@@ -98,8 +111,9 @@ def test_tr2_shares_labels_across_rules():
 
 
 def test_tr2_rejects_non_nnf_input():
-    with pytest.raises(StageInputError):
-        tr2(parse("p :- not (q, r)."), AtomTable())
+    with pytest.raises(StageInputError, match=re.escape(
+            "tr2 expects a program in class nnf; rule 1: p :- not (q, r).")):
+        tr2(parse("q. p :- not (q, r)."), AtomTable())
 
 
 def test_tr3_paper_examples():
@@ -140,7 +154,8 @@ def test_tr3_is_ht_equivalent_to_input():
 def test_tr3_leaves_clean_rules_untouched():
     prog = parse("p v not q :- r, not p.")
     assert tr3(prog).rules == prog.rules
-    with pytest.raises(StageInputError):
+    with pytest.raises(StageInputError, match=re.escape(
+            "tr3 expects a program in class gdlp_ht; rule 0: p :- q v r.")):
         tr3(parse("p :- q v r."))
 
 
