@@ -13,6 +13,7 @@ guard), 4 any other error, an internal one, reported with its traceback.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import sys
 import traceback
 
@@ -115,7 +116,7 @@ def _cmd_translate(args: argparse.Namespace) -> int:
     program = _read_program(args.input, allow_internal=False)
     translated, report = translate_mode(program, args.mode, args.simplify)
     _write_text(args.output, print_dlv(translated))
-    for key, value in report.as_dict().items():
+    for key, value in dataclasses.asdict(report).items():
         print(f"{key}={value}", file=sys.stderr)
     return 0
 
@@ -165,7 +166,7 @@ def _cmd_check(args: argparse.Namespace) -> int:
         return 1 if failed else 0
     if args.kind == "modular":
         if args.second is None:
-            raise ParseError("check modular requires -j FILE2")
+            raise ValueError("check modular requires -j FILE2")
         other = _read_program(args.second, allow_internal=False)
         ok = check_modular(program, other)
         print(f"modular: {'yes' if ok else 'no'}")

@@ -14,10 +14,10 @@ time: in a window the lowest _WINDOW atoms vary and every higher one is
 a constant, all-ones or 0.  Classical truth over a window is one integer
 per slot; HT truth is a pair of them, the truth at H and at T, with one
 bit per subset H of a there-world T.  A rule is folded into the window's
-model bitmap as soon as its head and body slots are ready, and a slot's
-bitmap is released after its last reader.  So a call holds a few
-2^_WINDOW-bit integers at a time, whatever the size of the alphabet, and
-the cap on the alphabet bounds its time only.  The HT loops visit only
+model bitmap as soon as its head and body slots are ready.  So a call
+holds one 2^_WINDOW-bit integer per slot, two under HT: it grows with
+the number of distinct subformulas, not with the size of the alphabet,
+and the cap on the alphabet bounds its time only.  The HT loops visit only
 the there-worlds T whose <T, T> is an HT-model, found a window at a time
 by one pass of the HT engine over all the total pairs.
 
@@ -82,14 +82,16 @@ _VAR, _TOP, _BOT, _NOT, _AND, _OR = range(6)
 class _Plan:
     """Rules compiled for the evaluators.
 
-    ``steps`` holds one ``(op, a, b, folds, drops)`` per slot, in
-    post-order: ``a`` is the index in ``atoms`` of a ``_VAR`` step's
-    atom and the first child slot otherwise, ``b`` the second child
-    slot; ``folds`` lists the (head, body) slot pairs of the rules ready
-    at this step, and ``drops`` the slots that this step or its folds
-    read last.  The evaluators take the atoms' values as a table in the
-    order of ``atoms``.  ``positive`` holds the atoms that occur outside
-    every ``not``.
+    ``steps`` holds one ``(op, a, b, folds)`` per slot, in post-order:
+    ``a`` is the index in ``atoms`` of a ``_VAR`` step's atom and the
+    first child slot otherwise, ``b`` the second child slot; ``folds``
+    lists the (head, body) slot pairs of the rules ready at this step.
+    An evaluator keeps every slot's value to the end of its loop, one
+    window-sized integer per step, or two under HT: at 8 KB each, a plan
+    of a few hundred slots holds a few MB, and the loop does no
+    bookkeeping to release a slot sooner.  The evaluators take
+    the atoms' values as a table in the order of ``atoms``.
+    ``positive`` holds the atoms that occur outside every ``not``.
     """
 
     __slots__ = ("steps", "atoms", "positive")
@@ -125,22 +127,9 @@ def _compile(rules: Iterable[Rule]) -> _Plan:
         roots.append((slot_of[rule.head], slot_of[rule.body]))
 
     n = len(ops)
-    # a slot's last reader: the last step or rule fold that reads it
-    last = list(range(n))
-    for k, (op, a, b) in enumerate(ops):
-        if op == _NOT:
-            last[a] = k
-        elif op >= _AND:
-            last[a] = last[b] = k
     folds: list[list[tuple[int, int]]] = [[] for _ in range(n)]
     for head, body in roots:
-        k = max(head, body)
-        folds[k].append((head, body))
-        last[head] = max(last[head], k)
-        last[body] = max(last[body], k)
-    drops: list[list[int]] = [[] for _ in range(n)]
-    for slot, k in enumerate(last):
-        drops[k].append(slot)
+        folds[max(head, body)].append((head, body))
 
     # slots reached from a head or body through conjunction and
     # disjunction only; children precede their parents
@@ -157,8 +146,7 @@ def _compile(rules: Iterable[Rule]) -> _Plan:
             elif op >= _AND:
                 outside[a] = outside[b] = True
 
-    steps = [(op, a, b, tuple(folds[k]), tuple(drops[k]))
-             for k, (op, a, b) in enumerate(ops)]
+    steps = [(op, a, b, tuple(folds[k])) for k, (op, a, b) in enumerate(ops)]
     return _Plan(steps, atoms, frozenset(positive))
 
 
@@ -255,12 +243,12 @@ def _models_bitmap(plan: _Plan, table: list[int], full: int,
     of I stores them there, running to the end, and any other, with
     ``top`` 0, reads them.
     """
-    vals: list[int | None] = []
+    vals: list[int] = []
     bm = full ^ top
     if not bm:
         return 0
     storing = top and nots is not None
-    for op, a, b, folds, drops in plan.steps:
+    for op, a, b, folds in plan.steps:
         if op == _VAR:
             v = table[a]
         elif op == _AND:
@@ -284,8 +272,6 @@ def _models_bitmap(plan: _Plan, table: list[int], full: int,
                 bm &= (full ^ vals[body]) | vals[head]
             if not bm and not storing:
                 return 0
-        for slot in drops:
-            vals[slot] = None
     return bm
 
 
@@ -357,32 +343,23 @@ def _models(plan: _Plan, bits: list[int], n: int) -> Iterator[int]:
         for base, full, table in _windows(bits, (1 << n) - 1))
 
 
-def _program_models(program: Program, atoms: list[Atom]) -> Iterator[int]:
-    plan = _compile(program.rules)
-    return _models(plan, _atom_bits(plan, atoms), len(atoms))
-
-
 def classical_models(program: Program, alphabet: Iterable[Atom],
                      cap: int = DEFAULT_CAP) -> frozenset[Interpretation]:
     atoms = _check_cap(alphabet, cap)
-    return frozenset(_index_to_interp(i, atoms)
-                     for i in _program_models(program, atoms))
+    plan = _compile(program.rules)
+    return frozenset(_index_to_interp(i, atoms) for i in _models(
+        plan, _atom_bits(plan, atoms), len(atoms)))
 
 
 def minimal_models(program: Program, alphabet: Iterable[Atom],
                    cap: int = DEFAULT_CAP) -> frozenset[Interpretation]:
-    """All subset-minimal classical models of a negation-free program."""
+    """All subset-minimal classical models of a negation-free program:
+    its reduct by any I is the program itself, so they are exactly its
+    answer sets."""
     if not all(negation_free(r.head) and negation_free(r.body)
                for r in program.rules):
         raise ValueError("minimal_models requires a negation-free program")
-    atoms = _check_cap(alphabet, cap)
-    indices = sorted(_program_models(program, atoms),
-                     key=lambda i: (i.bit_count(), i))
-    minimal: list[int] = []
-    for i in indices:
-        if not any(m & i == m for m in minimal):
-            minimal.append(i)
-    return frozenset(_index_to_interp(i, atoms) for i in minimal)
+    return answer_sets(program, alphabet, cap)
 
 
 def _is_stable(plan: _Plan, bits: list[int], index: int) -> bool:
@@ -418,10 +395,10 @@ def _ht_holds(plan: _Plan, table: list[tuple[int, int]], full: int) -> int:
     """Bitmap of the pairs whose H world satisfies every B(r) -> H(r),
     over a batch of HT pairs sharing one there-world; ``table`` holds
     the (H, T) bits of the plan's atoms."""
-    hs: list[int | None] = []
-    ts: list[int | None] = []
+    hs: list[int] = []
+    ts: list[int] = []
     bm = full
-    for op, a, b, folds, drops in plan.steps:
+    for op, a, b, folds in plan.steps:
         if op == _VAR:
             h, t = table[a]
         elif op == _AND:
@@ -442,8 +419,6 @@ def _ht_holds(plan: _Plan, table: list[tuple[int, int]], full: int) -> int:
                     ((full ^ ts[body]) | ts[head])
             if not bm:
                 return 0
-        for slot in drops:
-            hs[slot] = ts[slot] = None
     return bm
 
 

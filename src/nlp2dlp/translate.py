@@ -16,6 +16,7 @@ answer-set projection (a negative control).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Callable
 
 from .errors import ResourceLimitError, StageInputError
 from .syntax import (
@@ -61,24 +62,13 @@ class AtomTable:
 
 @dataclass(frozen=True)
 class TranslationReport:
+    mode: str
     input_size: int
     output_size: int
     rules_in: int
     rules_out: int
     labels_created: int
     bars_created: int
-    mode: str
-
-    def as_dict(self) -> dict[str, object]:
-        return {
-            "mode": self.mode,
-            "input_size": self.input_size,
-            "output_size": self.output_size,
-            "rules_in": self.rules_in,
-            "rules_out": self.rules_out,
-            "labels_created": self.labels_created,
-            "bars_created": self.bars_created,
-        }
 
 
 def normalize_nnf(expr: Expr) -> Expr:
@@ -287,25 +277,36 @@ def tr4(program: Program, table: AtomTable) -> Program:
                             program.var() | created)
 
 
-def _structural_pipeline(program: Program, table: AtomTable, *,
-                         polarity: bool = False, simplify: bool = False
-                         ) -> tuple[Program, TranslationReport]:
+def _pipeline(program: Program, table: AtomTable, mode: str,
+              middle: Callable[[Program], Program]
+              ) -> tuple[Program, TranslationReport]:
+    """tr1, then ``middle`` from HT-NNF to a program that tr3 accepts,
+    then tr3 and tr4; the report counts the labels and bars that the
+    stages added to ``table``."""
     labels_before, bars_before = len(table.labels), len(table.bars)
-    staged = tr1(program)
-    staged = tr2(staged, table, polarity=polarity, simplify=simplify)
-    staged = tr3(staged)
-    staged = tr4(staged, table)
+    staged = tr4(tr3(middle(tr1(program))), table)
     _require(staged, ProgramClass.DISJUNCTIVE, "pipeline output")
     report = TranslationReport(
+        mode=mode,
         input_size=program_size(program),
         output_size=program_size(staged),
         rules_in=len(program.rules),
         rules_out=len(staged.rules),
         labels_created=len(table.labels) - labels_before,
         bars_created=len(table.bars) - bars_before,
-        mode="polarity" if polarity else "structural",
     )
     return staged, report
+
+
+def _structural_pipeline(program: Program, table: AtomTable, *,
+                         polarity: bool = False, simplify: bool = False
+                         ) -> tuple[Program, TranslationReport]:
+    # tr2 is looked up when the stage runs, so that a wrapper set on
+    # ``translate.tr2`` sees each call, as it does for the other stages
+    return _pipeline(
+        program, table, "polarity" if polarity else "structural",
+        lambda staged: tr2(staged, table, polarity=polarity,
+                           simplify=simplify))
 
 
 def translate_structural(program: Program, simplify: bool = False
@@ -368,26 +369,15 @@ def translate_distributive(program: Program, max_nodes: int = 1_000_000
     normal form, and every rule splits into one rule per (clause, term)
     pair.  The expansion is guarded by ``max_nodes``.
     """
-    staged = tr1(program)
-    budget = _NodeBudget(max_nodes)
-    rules = []
-    for rule in staged.rules:
-        clauses = _normal_form(rule.head, And, budget)
-        terms = _normal_form(rule.body, Or, budget)
-        for term in terms:
-            for clause in clauses:
-                rules.append(Rule(disjunction(clause), conjunction(term)))
-    mid = Program(tuple(rules), program.alphabet)
-    table = AtomTable()
-    translated = tr4(tr3(mid), table)
-    _require(translated, ProgramClass.DISJUNCTIVE, "pipeline output")
-    report = TranslationReport(
-        input_size=program_size(program),
-        output_size=program_size(translated),
-        rules_in=len(program.rules),
-        rules_out=len(translated.rules),
-        labels_created=0,
-        bars_created=len(table.bars),
-        mode="distributive",
-    )
-    return translated, report
+    def expand(staged: Program) -> Program:
+        budget = _NodeBudget(max_nodes)
+        rules = []
+        for rule in staged.rules:
+            clauses = _normal_form(rule.head, And, budget)
+            terms = _normal_form(rule.body, Or, budget)
+            for term in terms:
+                for clause in clauses:
+                    rules.append(Rule(disjunction(clause), conjunction(term)))
+        return Program(tuple(rules), staged.alphabet)
+
+    return _pipeline(program, AtomTable(), "distributive", expand)

@@ -135,7 +135,7 @@ def test_check_modular(tmp_path, capsys, monkeypatch):
 def test_check_modular_requires_second_file(capsys, monkeypatch):
     code, _, err = call_main(["check", "modular"], "p.", capsys, monkeypatch)
     assert code == 2
-    assert "requires -j" in err
+    assert err.splitlines()[-1] == "error: check modular requires -j FILE2"
 
 
 def test_check_props(capsys, monkeypatch):

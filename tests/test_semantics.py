@@ -338,6 +338,39 @@ def test_oracle_memory_is_bounded_by_the_window(corpus):
         semantics._WINDOW + 1
 
 
+def _traced_peak(evaluate) -> int:
+    tracemalloc.start()
+    try:
+        evaluate()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_oracle_memory_per_window_is_one_bitmap_per_slot():
+    """An evaluator keeps each slot's bitmap to the end of its loop: one
+    window holds at most one 2^_WINDOW-bit integer per step, two under
+    HT.  Every rule here holds everywhere, so no loop stops early."""
+    atoms = [user_atom(f"x{i}") for i in range(17)]
+    rng = random.Random(12)
+    rules = []
+    for _ in range(200):
+        a, b, c = (Var(rng.choice(atoms)) for _ in range(3))
+        rules.append(Rule(TOP, Or(And(a, Not(b)), c)))
+    plan = semantics._compile(rules)
+    assert 300 <= len(plan.steps) <= 500
+    bits = semantics._atom_bits(plan, atoms)
+    everything = (1 << len(atoms)) - 1
+    _, full, table = semantics._windows(bits, everything)[0]
+    _, _, pairs = semantics._windows(bits, everything, ht=True)[0]
+    bound = len(plan.steps) * 2 ** semantics._WINDOW // 8
+    slack = 1 << 16
+    assert _traced_peak(
+        lambda: semantics._models_bitmap(plan, table, full)) <= bound + slack
+    assert _traced_peak(
+        lambda: semantics._ht_holds(plan, pairs, full)) <= 2 * bound + slack
+
+
 def test_answer_sets_enumerate_only_positive_atoms(monkeypatch):
     """An atom that occurs only under ``not`` is in no answer set, so no
     candidate holds one: here only {p} and {} are candidates, not the
