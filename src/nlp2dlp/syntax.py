@@ -8,7 +8,9 @@ atoms (``n_<atom>``) standing for negated heads.
 
 Every node stores its structural hash, its node count and two class
 ranks, so hashing, unequal comparisons, sizes and the syntactic class of
-a rule cost O(1) whatever the size of the tree.
+a rule cost O(1) whatever the size of the tree.  Each rule stores its
+own rank when it is built, so testing a whole program against a class is
+one C-level ``max`` over its rules.
 Every traversal keeps an explicit stack instead of recursing, so a long
 rule body or a deep nesting costs time linear in its size and never
 meets Python's recursion limit.
@@ -19,6 +21,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from enum import Enum
+from operator import attrgetter
 from typing import Iterable, Iterator
 
 LABEL_PREFIX = "l_"
@@ -376,13 +379,19 @@ def is_ht_nnf(expr: Expr) -> bool:
 
 
 class Rule:
-    """``head :- body``; immutable once built, like its expressions."""
+    """``head :- body``; immutable once built, like its expressions.
 
-    __slots__ = ("head", "body")
+    ``_rank`` is the ``ProgramClass`` value of the most specific class of
+    the one-rule program, stored when the rule is built.
+    """
+
+    __slots__ = ("head", "body", "_rank")
 
     def __init__(self, head: Expr, body: Expr):
         self.head = head
         self.body = body
+        rank = head._hrank
+        self._rank = rank if rank > body._brank else body._brank
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Rule):
@@ -436,20 +445,32 @@ class Program:
         return len(self.rules)
 
 
-def _rule_rank(rule: Rule) -> int:
-    """Value of the most specific class of a one-rule program."""
-    head, body = rule.head._hrank, rule.body._brank
-    return head if head > body else body
+_rule_rank = attrgetter("_rank")
+
+
+def _program_rank(rules: tuple[Rule, ...]) -> int:
+    """Value of the most specific class of a program with these rules:
+    one C-level ``max`` over their stored ranks."""
+    return max(map(_rule_rank, rules), default=_BASIC)
+
+
+def _first_out_of_class(rules: tuple[Rule, ...], cls: ProgramClass
+                        ) -> int | None:
+    """Index of the first rule outside ``cls``, or None; the rules are
+    walked one by one only when one of them is outside."""
+    limit = cls.value
+    if _program_rank(rules) <= limit:
+        return None
+    return next(i for i, rule in enumerate(rules) if rule._rank > limit)
 
 
 def program_in_class(program: Program, cls: ProgramClass) -> bool:
-    limit = cls.value
-    return all(_rule_rank(r) <= limit for r in program.rules)
+    return _program_rank(program.rules) <= cls.value
 
 
 def classify(program: Program) -> ProgramClass:
     """Most specific syntactic class containing the program."""
-    return _CLASSES[max(map(_rule_rank, program.rules), default=0)]
+    return _CLASSES[_program_rank(program.rules)]
 
 
 def subformulas(expr: Expr, ht_atomic: bool = False) -> list[Expr]:
@@ -477,13 +498,14 @@ def _new_subformulas(expr: Expr, ht_atomic: bool, seen: set[Expr]
         if e in seen:
             continue
         stack.append((e, True))
-        if ht_atomic and is_ht_literal(e):
-            continue
-        if isinstance(e, Not):
-            stack.append((e.child, False))
-        elif isinstance(e, (And, Or)):
+        kind = type(e)
+        if kind is And or kind is Or:
             stack.append((e.right, False))
             stack.append((e.left, False))
+        # a ``not`` of at most three nodes is over an atom or a truth
+        # constant, or over a ``not`` over one: an HT-literal
+        elif kind is Not and not (ht_atomic and e._size <= 3):
+            stack.append((e.child, False))
     return out
 
 

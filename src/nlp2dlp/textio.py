@@ -27,7 +27,7 @@ import re
 from .errors import NotDisjunctiveError, ParseError
 from .syntax import (
     BAR_PREFIX, BOT, LABEL_PREFIX, TOP, And, Atom, AtomKind, Bot, Expr, Not,
-    Or, Program, ProgramClass, Rule, Top, Var, _leaves, _rule_rank,
+    Or, Program, ProgramClass, Rule, Top, Var, _first_out_of_class, _leaves,
 )
 
 # whitespace and comments, then a lexeme: a token, a character that
@@ -337,11 +337,9 @@ def print_dlv(program: Program) -> str:
     The program must classify as disjunctive (or basic); otherwise the
     first offending rule is reported.
     """
-    # an enum's ``value`` is a property: read it once, not once per rule
-    limit = ProgramClass.DISJUNCTIVE.value
-    bad = next((r for r in program.rules if _rule_rank(r) > limit), None)
+    bad = _first_out_of_class(program.rules, ProgramClass.DISJUNCTIVE)
     if bad is not None:
         raise NotDisjunctiveError(
-            f"not in disjunctive form: {format_rule(bad)}")
+            f"not in disjunctive form: {format_rule(program.rules[bad])}")
     return "".join([line + "\n"
                     for line in map(format_dlv_rule, program.rules)])

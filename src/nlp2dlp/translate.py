@@ -8,6 +8,11 @@ The structural translation composes four passes:
 3. eliminate doubly negated literals by moving them across the arrow;
 4. replace negated head atoms by bar atoms guarded by a constraint.
 
+Each pass first checks that its input is in the class it expects.  Every
+``Rule`` stores its rank when it is built, so a check is one C-level
+``max`` over the rules; only a failing check walks them, to name the
+first rule outside the class.
+
 Also provided: the exponential distributivity-based translation, and a
 polarity-optimized labeling variant that is deliberately unsound for
 answer-set projection (a negative control).
@@ -22,8 +27,8 @@ from .errors import ResourceLimitError, StageInputError
 from .syntax import (
     BOT, TOP, And, Atom, Bot, Expr, Not, Or, Program, ProgramClass, Rule,
     Top, Var, bar_atom, conjuncts, disjunction, disjuncts, conjunction,
-    is_ht_literal, is_ht_nnf, label_atom, program_size, _new_subformulas,
-    _rule_rank,
+    is_ht_literal, is_ht_nnf, label_atom, program_size, _first_out_of_class,
+    _new_subformulas,
 )
 from .textio import format_rule
 
@@ -122,12 +127,15 @@ def tr1(program: Program) -> Program:
 
 def _require(program: Program, cls: ProgramClass, stage: str) -> None:
     """Raise ``StageInputError`` at the first rule outside ``cls``."""
-    limit = cls.value
-    for index, rule in enumerate(program.rules):
-        if _rule_rank(rule) > limit:
-            raise StageInputError(
-                f"{stage} expects a program in class {cls.name.lower()}; "
-                f"rule {index}: {format_rule(rule)}")
+    index = _first_out_of_class(program.rules, cls)
+    if index is not None:
+        raise StageInputError(
+            f"{stage} expects a program in class {cls.name.lower()}; "
+            f"rule {index}: {format_rule(program.rules[index])}")
+
+
+# occurrence positions, as bits
+_HEAD, _BODY = 1, 2
 
 
 def tr2(program: Program, table: AtomTable, *, polarity: bool = False,
@@ -142,52 +150,66 @@ def tr2(program: Program, table: AtomTable, *, polarity: bool = False,
     """
     _require(program, ProgramClass.NNF, "tr2")
 
-    # each subformula, in order of first occurrence, with its positions
-    occurrences: dict[Expr, set[str]] = {}
+    # each subformula, in order of first occurrence: its label node (a
+    # kept constant stands for itself) and the positions it occurs in
+    entries: dict[Expr, list] = {}
     # per position, the subformulas seen there so far: a repeated subtree
     # is looked up once, not once per node
-    seen: dict[str, set[Expr]] = {"head": set(), "body": set()}
+    seen = {_HEAD: set(), _BODY: set()}
+    label = table.label
+    created = []
     for rule in program.rules:
-        for position, root in (("head", rule.head), ("body", rule.body)):
+        for position, root in ((_HEAD, rule.head), (_BODY, rule.body)):
             for sub in _new_subformulas(root, True, seen[position]):
-                occurrences.setdefault(sub, set()).add(position)
+                entry = entries.get(sub)
+                if entry is not None:
+                    entry[1] |= position
+                elif simplify and (type(sub) is Top or type(sub) is Bot):
+                    entries[sub] = [sub, position]
+                else:
+                    atom = label(sub)
+                    created.append(atom)
+                    entries[sub] = [Var(atom), position]
 
-    labelled = {sub: sub if simplify and isinstance(sub, (Top, Bot))
-                else Var(table.label(sub)) for sub in occurrences}
-    lab = labelled.__getitem__
-
-    main = [Rule(lab(r.head), lab(r.body)) for r in program.rules]
-    aux: list[Rule] = []
-    for sub, where in occurrences.items():
-        if simplify and isinstance(sub, (Top, Bot)):
+    rules = [Rule(entries[r.head][0], entries[r.body][0])
+             for r in program.rules]
+    append = rules.append
+    intro = elim = True
+    for sub, (lv, where) in entries.items():
+        if lv is sub:
+            # a constant kept in place needs no rule
             continue
-        lv = lab(sub)
-        if is_ht_literal(sub):
-            intro = [Rule(lv, sub)]
-            elim = [Rule(sub, lv)]
-        elif isinstance(sub, And):
-            intro = [Rule(lv, And(lab(sub.left), lab(sub.right)))]
-            elim = [Rule(lab(sub.left), lv), Rule(lab(sub.right), lv)]
+        if polarity:
+            intro, elim = where & _BODY, where & _HEAD
+        kind = type(sub)
+        if kind is And:
+            left, right = entries[sub.left][0], entries[sub.right][0]
+            if intro:
+                append(Rule(lv, And(left, right)))
+            if elim:
+                append(Rule(left, lv))
+                append(Rule(right, lv))
+        elif kind is Or:
+            left, right = entries[sub.left][0], entries[sub.right][0]
+            # both directions: an Or's elimination comes first
+            if elim and not polarity:
+                append(Rule(Or(left, right), lv))
+            if intro:
+                append(Rule(lv, left))
+                append(Rule(lv, right))
+            if elim and polarity:
+                append(Rule(Or(left, right), lv))
         else:
-            intro = [Rule(lv, lab(sub.left)), Rule(lv, lab(sub.right))]
-            elim = [Rule(Or(lab(sub.left), lab(sub.right)), lv)]
-        if not polarity:
-            if isinstance(sub, Or):
-                aux.extend(elim + intro)
-            else:
-                aux.extend(intro + elim)
-        else:
-            if "body" in where:
-                aux.extend(intro)
-            if "head" in where:
-                aux.extend(elim)
+            # in HT-NNF, a node that is no connective is an HT-literal
+            if intro:
+                append(Rule(lv, sub))
+            if elim:
+                append(Rule(sub, lv))
 
     # every atom sits in an HT-literal, which is kept in its intro or
     # elim rule, and every label made here occurs in those rules
-    created = frozenset(v.atom for v in labelled.values()
-                        if isinstance(v, Var))
-    return Program._derived(tuple(main + aux), program.alphabet,
-                            program.var() | created)
+    return Program._derived(tuple(rules), program.alphabet,
+                            program.var() | frozenset(created))
 
 
 def _negate(expr: Expr) -> Expr:
@@ -214,7 +236,7 @@ def tr3(program: Program) -> Program:
     ht = ProgramClass.GDLP_HT.value
     out = []
     for rule in program.rules:
-        if _rule_rank(rule) < ht:
+        if rule._rank < ht:
             # a rule of literals only: no double negation to move
             out.append(rule)
             continue
@@ -254,7 +276,7 @@ def tr4(program: Program, table: AtomTable) -> Program:
     barred: dict[Atom, Var] = {}
     rules = []
     for rule in program.rules:
-        if _rule_rank(rule) < generalized:
+        if rule._rank < generalized:
             # disjunctive already: no negated head atom
             rules.append(rule)
             continue

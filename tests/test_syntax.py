@@ -2,7 +2,7 @@ import copy
 import pickle
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import reference_classifier as reference
 from nlp2dlp import (
@@ -192,6 +192,41 @@ def test_stored_ranks_match_the_reference_walk(x, y):
         assert is_ht_nnf(e) == reference.is_ht_nnf(e)
     for rule in (Rule(a, c), Rule(Or(a, c), And(c, a))):
         assert _rule_rank(rule) == reference.rule_rank(rule)
+
+
+def _reference_subformulas(expr, ht_atomic):
+    """Distinct subexpressions, left-to-right and bottom-up: a plain
+    recursive walk that keeps HT-literals whole by the reference test."""
+    out = []
+
+    def visit(e):
+        if e in out:
+            return
+        if not (ht_atomic and reference.is_ht_literal(e)):
+            if isinstance(e, Not):
+                visit(e.child)
+            elif isinstance(e, (And, Or)):
+                visit(e.left)
+                visit(e.right)
+        out.append(e)
+
+    visit(expr)
+    return out
+
+
+@settings(max_examples=300, deadline=None)
+@given(x=_blueprints, y=_blueprints)
+@example(x=("not", ("not", ("not", ("var", "a")))),
+         y=("not", ("and", ("var", "a"), ("var", "b"))))
+@example(x=("not", ("top",)), y=("not", ("not", ("bot",))))
+def test_subformulas_match_the_reference_walk(x, y):
+    a, c = _build(x), _build(y)
+    # repeated subtrees, both shared and built apart
+    for e in (a, c, And(a, _build(x)), Or(Not(c), And(c, a)), Not(Not(a)),
+              Not(Not(Not(c)))):
+        for ht_atomic in (False, True):
+            assert subformulas(e, ht_atomic=ht_atomic) == \
+                _reference_subformulas(e, ht_atomic)
 
 
 def _stages(program):

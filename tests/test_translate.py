@@ -13,10 +13,12 @@ from nlp2dlp import (
 )
 from nlp2dlp import syntax
 from nlp2dlp.syntax import expr_atoms, is_ht_nnf
+from nlp2dlp.translate import _structural_pipeline
 
 pa, qa, ra = user_atom("p"), user_atom("q"), user_atom("r")
 p, q, r = Var(pa), Var(qa), Var(ra)
 a, b = Var(user_atom("a")), Var(user_atom("b"))
+s = Var(user_atom("s"))
 
 
 def test_normalize_nnf_examples():
@@ -108,6 +110,39 @@ def test_tr2_shares_labels_across_rules():
     assert table.next_label_index == 3  # p, not q, r and nothing else
     assert table.labels[Not(q)] is label_atom(1)
     assert len(out.rules) == 2 + 2 * 3
+
+
+def test_tr2_emits_each_subformula_in_its_first_occurrence_slot():
+    # p v q is first met in a head, then inside a body; its atoms are a
+    # subtree shared by both positions, and r recurs in two bodies
+    program = parse("p v q :- r. s :- (p v q), r.")
+    l0, l1, l2, l3, l4, l5 = (Var(label_atom(i)) for i in range(6))
+    main = (Rule(l2, l3), Rule(l4, l5))
+    assert tr2(program, AtomTable(), polarity=True).rules == main + (
+        Rule(l0, p), Rule(p, l0),
+        Rule(l1, q), Rule(q, l1),
+        Rule(l2, l0), Rule(l2, l1), Rule(Or(l0, l1), l2),
+        Rule(l3, r),
+        Rule(s, l4),
+        Rule(l5, And(l2, l3)),
+    )
+    # structural: both directions, an Or's elimination first
+    assert tr2(program, AtomTable()).rules == main + (
+        Rule(l0, p), Rule(p, l0),
+        Rule(l1, q), Rule(q, l1),
+        Rule(Or(l0, l1), l2), Rule(l2, l0), Rule(l2, l1),
+        Rule(l3, r), Rule(r, l3),
+        Rule(l4, s), Rule(s, l4),
+        Rule(l5, And(l2, l3)), Rule(l2, l5), Rule(l3, l5),
+    )
+    # a second translation over the same table reuses l_2 for p v q and
+    # counts only the label it adds
+    table = AtomTable()
+    _, first = _structural_pipeline(program, table)
+    again, second = _structural_pipeline(parse("u :- p v q."), table)
+    assert first.labels_created == 6
+    assert second.labels_created == 1
+    assert again.rules[0] == Rule(Var(label_atom(6)), l2)
 
 
 def test_tr2_rejects_non_nnf_input():
