@@ -1,14 +1,13 @@
 """Compile logic programs with nested expressions into disjunctive logic
-programs, with a brute-force answer-set / equilibrium-model oracle."""
+programs, with a brute-force answer-set and HT-model oracle."""
 
 from .errors import (
     Nlp2DlpError, NotDisjunctiveError, ParseError, ResourceLimitError,
     StageInputError,
 )
 from .semantics import (
-    DEFAULT_CAP, HTInterpretation, Interpretation, World, answer_sets,
-    classical_models, equilibrium_models, eval_classical, eval_ht,
-    ht_equivalent, ht_models, is_ht_model, minimal_models, reduct,
+    DEFAULT_CAP, HTInterpretation, Interpretation, answer_sets,
+    classical_models, equilibrium_models, ht_equivalent, ht_models,
 )
 from .syntax import (
     BOT, TOP, And, Atom, AtomKind, Bot, Expr, Not, Or, Program,

@@ -24,9 +24,9 @@ from .semantics import DEFAULT_CAP, Interpretation, answer_sets, equilibrium_mod
 from .syntax import Atom, Program
 from .textio import _error, parse, parse_atom, print_dlv, print_nested
 from .verify import (
-    GROWTH_FAMILIES, MODES, GeneratorConfig, check_faithful, check_modular,
-    check_strongly_faithful, generate_program, growth_csv, measure_growth,
-    translate_mode,
+    DEFAULT_VERIFY_CAP, GROWTH_FAMILIES, MODES, GeneratorConfig,
+    check_faithful, check_modular, check_strongly_faithful, generate_program,
+    growth_csv, measure_growth, translate_mode,
 )
 
 
@@ -229,7 +229,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_check.add_argument("--mode", choices=MODES, default="structural")
     p_check.add_argument("--contexts", type=_POSITIVE, default=25)
     p_check.add_argument("--seed", type=int, default=0)
-    p_check.add_argument("--cap", type=_NON_NEGATIVE, default=DEFAULT_CAP + 4)
+    p_check.add_argument("--cap", type=_NON_NEGATIVE, default=DEFAULT_VERIFY_CAP)
     p_check.add_argument("-i", "--input", default=None)
     p_check.add_argument("-j", "--second", default=None,
                          help="second program (check modular)")

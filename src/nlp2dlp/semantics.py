@@ -1,5 +1,5 @@
-"""Brute-force semantics engine: classical models, reducts, answer sets,
-here-and-there (HT) valuation, HT-models and equilibrium models.
+"""Brute-force oracle over whole programs: classical models, answer sets,
+here-and-there (HT) models, HT equivalence and equilibrium models.
 
 Everything works by explicit enumeration over a caller-supplied alphabet
 and is intended as a desk-scale oracle, not a solver.
@@ -21,35 +21,28 @@ and the cap on the alphabet bounds its time only.  The HT loops visit only
 the there-worlds T whose <T, T> is an HT-model, found a window at a time
 by one pass of the HT engine over all the total pairs.
 
-Answer sets come from reducts, equilibrium models from the HT engine
-alone, so each checks the other.  The stability check of a candidate I
-runs the classical loop over the subsets of I with every ``not`` fixed
-to the constant its child's value at I gives it: that is the reduct by
-I, evaluated without building it.
+Answer sets come from the classical engine, equilibrium models from the
+HT engine alone, so each checks the other.  The stability check of a
+candidate I runs the classical loop over the subsets of I with every
+``not`` fixed to the constant its child's value at I gives it: that is
+the reduct by I, evaluated without building it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import Enum
 from functools import lru_cache
 from itertools import chain
 from typing import Iterable, Iterator
 
 from .errors import ResourceLimitError
 from .syntax import (
-    BOT, TOP, And, Atom, Expr, Not, Or, Program, Rule, Top, Var,
-    negation_free, _new_subformulas,
+    And, Atom, Expr, Not, Or, Program, Rule, Top, Var, _new_subformulas,
 )
 
 DEFAULT_CAP = 20
 
 Interpretation = frozenset[Atom]
-
-
-class World(Enum):
-    H = "H"
-    T = "T"
 
 
 @dataclass(frozen=True)
@@ -62,9 +55,6 @@ class HTInterpretation:
         object.__setattr__(self, "there", frozenset(self.there))
         if not self.here <= self.there:
             raise ValueError("the 'here' world must be contained in 'there'")
-
-    def is_total(self) -> bool:
-        return self.here == self.there
 
 
 def _check_cap(alphabet: Iterable[Atom], cap: int) -> list[Atom]:
@@ -275,42 +265,6 @@ def _models_bitmap(plan: _Plan, table: list[int], full: int,
     return bm
 
 
-def eval_classical(expr: Expr, interp: Interpretation) -> bool:
-    """Two-valued truth of an expression under a set of atoms."""
-    # the rule "expr :- true" holds exactly where expr does
-    plan = _compile((Rule(expr, TOP),))
-    table = [int(a in interp) for a in plan.atoms]
-    return _models_bitmap(plan, table, 1) == 1
-
-
-def _reduce_expr(expr: Expr, interp: Interpretation) -> Expr:
-    done: list[Expr] = []
-    # inputs still to reduce, last first, and the connective that joins
-    # the last two results
-    todo: list[Expr | type[Expr]] = [expr]
-    while todo:
-        e = todo.pop()
-        if isinstance(e, type):
-            right = done.pop()
-            done.append(e(done.pop(), right))
-        elif isinstance(e, Not):
-            # maximal negated subexpression: nested negations are untouched
-            done.append(BOT if eval_classical(e.child, interp) else TOP)
-        elif isinstance(e, (And, Or)):
-            todo += (type(e), e.right, e.left)
-        else:
-            done.append(e)
-    return done.pop()
-
-
-def reduct(program: Program, interp: Interpretation) -> Program:
-    """Negation-free program obtained by fixing negated subexpressions
-    to their classical truth value under ``interp``."""
-    return Program(tuple(Rule(_reduce_expr(r.head, interp),
-                              _reduce_expr(r.body, interp))
-                         for r in program.rules), program.alphabet)
-
-
 _WORD = 1 << 12
 
 
@@ -349,17 +303,6 @@ def classical_models(program: Program, alphabet: Iterable[Atom],
     plan = _compile(program.rules)
     return frozenset(_index_to_interp(i, atoms) for i in _models(
         plan, _atom_bits(plan, atoms), len(atoms)))
-
-
-def minimal_models(program: Program, alphabet: Iterable[Atom],
-                   cap: int = DEFAULT_CAP) -> frozenset[Interpretation]:
-    """All subset-minimal classical models of a negation-free program:
-    its reduct by any I is the program itself, so they are exactly its
-    answer sets."""
-    if not all(negation_free(r.head) and negation_free(r.body)
-               for r in program.rules):
-        raise ValueError("minimal_models requires a negation-free program")
-    return answer_sets(program, alphabet, cap)
 
 
 def _is_stable(plan: _Plan, bits: list[int], index: int) -> bool:
@@ -439,26 +382,6 @@ def _ht_blocks(plan: _Plan, bits: list[int], t: int
     it, bit i for the H picked from T by the bits of base + i."""
     for base, full, table in _windows(bits, t, ht=True):
         yield base, _ht_holds(plan, table, full)
-
-
-def _pair_table(plan: _Plan, here: Interpretation, there: Interpretation
-                ) -> list[tuple[int, int]]:
-    return [(int(a in here), int(a in there)) for a in plan.atoms]
-
-
-def eval_ht(expr: Expr, f: HTInterpretation, w: World) -> bool:
-    """Truth of an expression at a world of an HT-interpretation."""
-    # "expr :- true" holds at H exactly where expr does, and the T world
-    # of <H, T> is the H world of <T, T>
-    here = f.here if w is World.H else f.there
-    plan = _compile((Rule(expr, TOP),))
-    return _ht_holds(plan, _pair_table(plan, here, f.there), 1) == 1
-
-
-def is_ht_model(program: Program, f: HTInterpretation) -> bool:
-    """F satisfies B(r) -> H(r) at H for every rule."""
-    plan = _compile(program.rules)
-    return _ht_holds(plan, _pair_table(plan, f.here, f.there), 1) == 1
 
 
 def ht_models(program: Program, alphabet: Iterable[Atom],

@@ -22,7 +22,7 @@ import re
 from dataclasses import dataclass, field
 from enum import Enum
 from operator import attrgetter
-from typing import Iterable, Iterator
+from typing import Iterable
 
 LABEL_PREFIX = "l_"
 BAR_PREFIX = "n_"
@@ -321,22 +321,6 @@ def disjuncts(expr: Expr) -> list[Expr]:
     return _leaves(expr, Or) if isinstance(expr, Or) else [expr]
 
 
-def walk(expr: Expr) -> Iterator[Expr]:
-    """Post-order traversal of every node (with repetitions)."""
-    stack: list[tuple[Expr, bool]] = [(expr, False)]
-    while stack:
-        e, expanded = stack.pop()
-        if expanded:
-            yield e
-            continue
-        stack.append((e, True))
-        if isinstance(e, Not):
-            stack.append((e.child, False))
-        elif isinstance(e, (And, Or)):
-            stack.append((e.right, False))
-            stack.append((e.left, False))
-
-
 def expr_size(expr: Expr) -> int:
     return expr._size
 
@@ -367,10 +351,6 @@ def is_ht_literal(expr: Expr) -> bool:
     elif isinstance(expr, Not):
         expr = expr.child
     return isinstance(expr, (Var, Top, Bot))
-
-
-def negation_free(expr: Expr) -> bool:
-    return not any(isinstance(n, Not) for n in walk(expr))
 
 
 def is_ht_nnf(expr: Expr) -> bool:

@@ -8,9 +8,9 @@ import time
 
 from nlp2dlp import (
     BOT, TOP, And, AtomTable, GeneratorConfig, HTInterpretation, Not, Or,
-    Program, ProgramClass, Rule, Var, World, answer_sets, check_faithful,
+    Program, ProgramClass, Rule, Var, answer_sets, check_faithful,
     check_modular, check_strongly_faithful, classify, equilibrium_models,
-    eval_ht, is_ht_model, measure_growth, parse, tr1, tr2, tr3, tr4,
+    ht_models, measure_growth, parse, tr1, tr2, tr3, tr4,
     translate_polarity_variant, translate_structural, user_atom,
 )
 
@@ -109,17 +109,25 @@ def _all_ht_interps(atoms):
                     yield HTInterpretation(frozenset(here), frozenset(there))
 
 
+def _hereditary(e, atoms, s):
+    """e holds at H of no <H, T> where it fails at T.  Its truth is read
+    through the rule s :- e, s a fresh atom: e holds at H of <H, T> iff
+    <H, T + s> is no HT-model, and at T iff <T, T> is none."""
+    models = ht_models(Program((Rule(Var(s), e),)), atoms + (s,))
+    return all(HTInterpretation(g.here, g.there | {s}) in models
+               for g in _all_ht_interps(atoms)
+               if HTInterpretation(g.there, g.there) in models)
+
+
 def test_criterion_8_ht_anchors_and_heredity():
     f = HTInterpretation(frozenset(), frozenset({pa}))
-    anchor1 = not eval_ht(Or(p, Not(p)), f, World.H)
+    anchor1 = f not in ht_models(parse("p v not p."), {pa})
     # not not p -> p as the rule p :- not not p, checked at H
-    anchor2 = not is_ht_model(Program((Rule(p, Not(Not(p))),)), f)
+    anchor2 = f not in ht_models(Program((Rule(p, Not(Not(p))),)), {pa})
     atoms = (pa, qa, ra)
-    heredity = all(
-        eval_ht(e, g, World.T)
-        for e in _all_expressions(3, atoms)
-        for g in _all_ht_interps(atoms)
-        if eval_ht(e, g, World.H))
+    s = user_atom("s")
+    heredity = all(_hereditary(e, atoms, s)
+                   for e in _all_expressions(3, atoms))
     report(8, "HT anchors and heredity", anchor1 and anchor2 and heredity)
 
 

@@ -6,7 +6,8 @@ from pathlib import Path
 
 import pytest
 
-from nlp2dlp.cli import main
+from nlp2dlp.cli import build_parser, main
+from nlp2dlp.verify import DEFAULT_VERIFY_CAP
 
 CLOSING = "p. q. r v (p, q).\n"
 DEEP_INPUTS = {
@@ -105,6 +106,9 @@ def test_check_faithful_structural_ok(capsys, monkeypatch):
                              capsys, monkeypatch)
     assert code == 0
     assert out == "faithful: yes\n"
+    # the checks default to the library's cap
+    args = build_parser().parse_args(["check", "faithful"])
+    assert args.cap == DEFAULT_VERIFY_CAP
 
 
 def test_check_faithful_polarity_fails_with_witness(capsys, monkeypatch):

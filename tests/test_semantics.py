@@ -5,60 +5,58 @@ import pytest
 
 from nlp2dlp import (
     BOT, TOP, And, GeneratorConfig, HTInterpretation, Not, Or, Program,
-    ResourceLimitError, Rule, Var, World, answer_sets, classical_models,
-    equilibrium_models, eval_classical, eval_ht, format_expr,
-    generate_program, ht_equivalent, ht_models, is_ht_model, minimal_models,
-    parse, parse_expression, reduct, semantics, subformulas,
+    ResourceLimitError, Rule, Var, answer_sets, classical_models,
+    equilibrium_models, format_expr, generate_program, ht_equivalent,
+    ht_models, parse, parse_expression, semantics, subformulas,
     translate_structural, user_atom,
 )
-from nlp2dlp.syntax import negation_free
 
 from naive_oracle import (
     is_model, naive_answer_sets, naive_equilibrium_models, naive_ht_models,
-    naive_minimal_models, subsets,
+    naive_minimal_models, reduce_expr, subsets,
 )
 
 pa, qa, ra = user_atom("p"), user_atom("q"), user_atom("r")
 p, q, r = Var(pa), Var(qa), Var(ra)
 EMPTY = frozenset()
+P = frozenset({pa})
+
+
+def _fact(expr):
+    """The one-rule program ``expr.``: its classical models are where
+    ``expr`` is true, its HT-models the pairs where it holds at H."""
+    return Program((Rule(expr, TOP),))
+
+
+def _positive(program, interp):
+    """The program with each outermost ``not`` fixed to its value under
+    ``interp``, by the naive oracle: negation-free, so its answer sets
+    are its minimal models."""
+    return Program(tuple(Rule(reduce_expr(r.head, interp),
+                              reduce_expr(r.body, interp))
+                         for r in program.rules), program.alphabet)
 
 
 def test_eval_classical_examples():
-    assert eval_classical(Or(p, Not(p)), EMPTY)
-    assert eval_classical(Not(And(p, q)), frozenset({pa}))
-    assert not eval_classical(BOT, EMPTY)
-    assert eval_classical(TOP, EMPTY)
-
-
-def test_reduct_examples():
-    prog = Program((Rule(p, Not(q)),))
-    assert reduct(prog, frozenset({pa})).rules == (Rule(p, TOP),)
-    assert reduct(prog, frozenset({pa, qa})).rules == (Rule(p, BOT),)
-    # only the maximal negation is replaced: not not q with q true
-    doubled = Program((Rule(p, Not(Not(q))),))
-    assert reduct(doubled, frozenset({qa})).rules == (Rule(p, TOP),)
-    basic = Program((Rule(Or(p, q), r),))
-    assert reduct(basic, frozenset({ra})).rules == basic.rules
-
-
-def test_reduct_is_negation_free_and_idempotent(corpus):
-    for program in corpus:
-        for interp in (EMPTY, program.alphabet):
-            red = reduct(program, interp)
-            assert all(negation_free(r.head) and negation_free(r.body)
-                       for r in red.rules)
-            assert reduct(red, interp).rules == red.rules
+    """Classical truth of e, read as membership in the classical models
+    of the program ``e.``."""
+    assert classical_models(_fact(Or(p, Not(p))), P) == {EMPTY, P}
+    assert classical_models(_fact(Not(And(p, q))), {pa, qa}) == \
+        {EMPTY, P, frozenset({qa})}
+    assert classical_models(_fact(BOT), EMPTY) == frozenset()
+    assert classical_models(_fact(TOP), EMPTY) == {EMPTY}
 
 
 def test_minimal_models_examples():
     alphabet = frozenset({pa, qa})
-    assert minimal_models(Program((Rule(Or(p, q), TOP),)), alphabet) == \
-        frozenset({frozenset({pa}), frozenset({qa})})
-    assert minimal_models(Program(), frozenset({pa})) == frozenset({EMPTY})
+    assert answer_sets(Program((Rule(Or(p, q), TOP),)), alphabet) == \
+        frozenset({P, frozenset({qa})})
+    assert answer_sets(Program(), P) == frozenset({EMPTY})
     contra = Program((Rule(p, TOP), Rule(BOT, p)))
-    assert minimal_models(contra, frozenset({pa})) == frozenset()
-    with pytest.raises(ValueError):
-        minimal_models(Program((Rule(p, Not(q)),)), alphabet)
+    assert answer_sets(contra, P) == frozenset()
+    basic = Program((Rule(Or(p, q), r), Rule(r, TOP)))
+    assert answer_sets(basic, {pa, qa, ra}) == \
+        {frozenset({pa, ra}), frozenset({qa, ra})}
 
 
 def test_answer_sets_examples():
@@ -66,9 +64,18 @@ def test_answer_sets_examples():
     assert answer_sets(closing, frozenset({pa, qa, ra})) == \
         frozenset({frozenset({pa, qa})})
     assert answer_sets(parse("p :- not q."), frozenset({pa, qa})) == \
-        frozenset({frozenset({pa})})
-    assert answer_sets(parse("p :- p."), frozenset({pa})) == \
-        frozenset({EMPTY})
+        frozenset({P})
+    assert answer_sets(parse("p :- p."), P) == frozenset({EMPTY})
+    # only the outermost ``not`` is fixed by the candidate: with q true,
+    # not not q is true and p is supported
+    assert answer_sets(parse("p :- not not q. q."), {pa, qa}) == \
+        {frozenset({pa, qa})}
+    # so not not p is no p: {p} fixes it to true, {} to false
+    assert answer_sets(parse("p :- not not p."), P) == {EMPTY, P}
+    # {p, q} is a classical model of p :- not q, but its reduct p :- false
+    # has a smaller one
+    assert frozenset({pa, qa}) in classical_models(parse("p :- not q."),
+                                                   {pa, qa})
 
 
 def test_answer_sets_match_naive_oracle(corpus):
@@ -80,67 +87,74 @@ def test_answer_sets_match_naive_oracle(corpus):
 
 def test_minimal_models_match_naive_oracle(corpus):
     for program in corpus:
-        red = reduct(program, EMPTY)
+        red = _positive(program, EMPTY)
         alphabet = program.alphabet
-        assert minimal_models(red, alphabet) == \
+        assert answer_sets(red, alphabet) == \
             naive_minimal_models(red, alphabet)
 
 
 def test_classical_models_match_eval(corpus):
     for program in corpus[:60]:
         alphabet = program.alphabet
-        models = classical_models(program, alphabet)
-        for interp in subsets(alphabet):
-            expected = all(
-                (not eval_classical(r.body, interp)) or
-                eval_classical(r.head, interp)
-                for r in program.rules)
-            assert (interp in models) == expected
+        rules = [(r.head, r.body) for r in program.rules]
+        assert classical_models(program, alphabet) == frozenset(
+            i for i in subsets(alphabet) if is_model(rules, i))
 
 
 def test_eval_ht_paper_anchors():
-    f = HTInterpretation(EMPTY, frozenset({pa}))
-    assert not eval_ht(Or(p, Not(p)), f, World.H)
-    # not not p -> p, with the implication clause unfolded by hand:
-    # it fails at H because not not p holds here while p does not
-    assert eval_ht(Not(Not(p)), f, World.H)
-    assert not eval_ht(p, f, World.H)
-    assert eval_ht(TOP, f, World.H) and eval_ht(TOP, f, World.T)
+    """HT truth of e at H, read as membership in the HT-models of the
+    program ``e.``."""
+    f = HTInterpretation(EMPTY, P)
+    assert f not in ht_models(_fact(Or(p, Not(p))), P)
+    # not not p -> p fails at H because not not p holds here while p
+    # does not
+    assert f in ht_models(_fact(Not(Not(p))), P)
+    assert f not in ht_models(_fact(p), P)
+    assert f not in ht_models(Program((Rule(p, Not(Not(p))),)), P)
+    assert ht_models(_fact(TOP), P) == \
+        {HTInterpretation(EMPTY, EMPTY), f, HTInterpretation(P, P)}
 
 
 def test_is_ht_model_examples():
-    prog = Program((Rule(p, Not(q)),))
-    assert is_ht_model(prog, HTInterpretation(frozenset({pa}), frozenset({pa})))
-    fact = Program((Rule(p, TOP),))
-    assert not is_ht_model(fact, HTInterpretation(EMPTY, frozenset({pa})))
-    assert is_ht_model(Program(), HTInterpretation(EMPTY, frozenset({pa, qa})))
+    assert HTInterpretation(P, P) in ht_models(parse("p :- not q."), {pa, qa})
+    assert HTInterpretation(EMPTY, P) not in ht_models(parse("p."), P)
+    assert HTInterpretation(EMPTY, frozenset({pa, qa})) in \
+        ht_models(Program(), {pa, qa})
 
 
 def test_heredity_for_arrow_free_expressions(corpus):
+    """Heredity of each head and body e, read through the rule s :- e,
+    with s a fresh atom: e holds at H of <H, T> iff <H, T + s> is no
+    HT-model, and at T iff <T, T> is none.  Programs are hereditary
+    too: <H, T> is an HT-model only if <T, T> is one."""
+    s = Var(user_atom("s"))
     for program in corpus[:60]:
-        atoms = sorted(program.alphabet)
-        for there in subsets(atoms):
-            for here in subsets(there):
-                f = HTInterpretation(here, there)
-                for rule in program.rules:
-                    for e in (rule.head, rule.body):
-                        if eval_ht(e, f, World.H):
-                            assert eval_ht(e, f, World.T)
+        alphabet = program.alphabet
+        assert s.atom not in alphabet
+        models = ht_models(program, alphabet)
+        assert all(HTInterpretation(f.there, f.there) in models
+                   for f in models)
+        for e in (e for rule in program.rules for e in (rule.head, rule.body)):
+            reads = ht_models(Program((Rule(s, e),)), alphabet | {s.atom})
+            for there in subsets(alphabet):
+                if HTInterpretation(there, there) not in reads:
+                    continue
+                # e fails at T, so it must fail at every H below T
+                assert all(HTInterpretation(here, there | {s.atom}) in reads
+                           for here in subsets(there))
 
 
 def test_total_ht_equals_classical(corpus):
     for program in corpus[:60]:
-        for interp in subsets(program.alphabet):
-            f = HTInterpretation(interp, interp)
-            for rule in program.rules:
-                for e in (rule.head, rule.body):
-                    assert eval_ht(e, f, World.T) == eval_classical(e, interp)
+        alphabet = program.alphabet
+        assert {f.there for f in ht_models(program, alphabet)
+                if f.here == f.there} == classical_models(program, alphabet)
 
 
 def test_ht_interpretation_validates_containment():
     with pytest.raises(ValueError):
         HTInterpretation(frozenset({pa}), EMPTY)
-    assert HTInterpretation(frozenset({pa}), frozenset({pa})).is_total()
+    assert HTInterpretation({pa}, {pa}) == HTInterpretation(P, P)
 
 
 def test_ht_equivalent_examples():
@@ -154,8 +168,7 @@ def test_ht_equivalent_examples():
 def test_ht_models_distinguishes_double_negation():
     # <{}, {p}> satisfies p :- not not p vacuously at H but not its absence
     prog = parse("p :- not not p.")
-    f = HTInterpretation(EMPTY, frozenset({pa}))
-    assert not is_ht_model(prog, f)
+    f = HTInterpretation(EMPTY, P)
     models = ht_models(prog, {pa})
     assert f not in models
     assert HTInterpretation(EMPTY, EMPTY) in models
@@ -232,12 +245,20 @@ def test_evaluators_on_deep_negation_chain():
     chain = p
     for _ in range(10_000):
         chain = Not(chain)
-    assert eval_classical(chain, frozenset({pa}))
-    assert not eval_classical(Not(chain), frozenset({pa}))
-    f = HTInterpretation(EMPTY, frozenset({pa}))
-    # an even chain is not not p: true at H because p holds at T
-    assert eval_ht(chain, f, World.H) and not eval_ht(p, f, World.H)
-    assert not eval_ht(Not(chain), f, World.T)
+    # an even chain is not not p, and not chain is not p
+    even, odd = _fact(chain), _fact(Not(chain))
+    assert classical_models(even, P) == {P}
+    assert classical_models(odd, P) == {EMPTY}
+    # not not p is true at H of <{}, {p}> because p holds at T
+    assert ht_models(even, P) == {HTInterpretation(EMPTY, P),
+                                  HTInterpretation(P, P)}
+    assert ht_models(odd, P) == {HTInterpretation(EMPTY, EMPTY)}
+    # {p} is refuted by <{}, {p}>, and p is under ``not`` only
+    assert answer_sets(even, P) == equilibrium_models(even, P) == frozenset()
+    assert answer_sets(odd, P) == equilibrium_models(odd, P) == {EMPTY}
+    assert ht_equivalent(even, _fact(Not(Not(p))), P)
+    assert ht_equivalent(odd, _fact(Not(p)), P)
+    assert not ht_equivalent(even, odd, P)
 
 
 def test_enumeration_cap_is_enforced():
@@ -279,10 +300,10 @@ def _window_cases():
 def _oracle_results(program, alphabet):
     """Every windowed evaluator's answer on one program, in one tuple."""
     others = Program(program.rules[1:], alphabet)
-    positive = reduct(program, alphabet)
+    positive = _positive(program, alphabet)
     return (answer_sets(program, alphabet),
             classical_models(program, alphabet),
-            minimal_models(positive, alphabet),
+            answer_sets(positive, alphabet),
             {(f.here, f.there) for f in ht_models(program, alphabet)},
             equilibrium_models(program, alphabet),
             ht_equivalent(program, others, alphabet))
@@ -290,7 +311,7 @@ def _oracle_results(program, alphabet):
 
 def _naive_results(program, alphabet):
     others = Program(program.rules[1:], alphabet)
-    positive = reduct(program, alphabet)
+    positive = _positive(program, alphabet)
     rules = [(r.head, r.body) for r in program.rules]
     ht = naive_ht_models(program, alphabet)
     return (naive_answer_sets(program, alphabet),

@@ -12,7 +12,7 @@ from nlp2dlp import (
     label_atom, program_in_class, program_size, subformulas, tr1, tr2, tr3,
     tr4, translate_distributive, user_atom,
 )
-from nlp2dlp.syntax import _rule_rank, walk
+from nlp2dlp.syntax import _rule_rank
 from nlp2dlp.textio import parse_atom
 
 p, q, r = Var(user_atom("p")), Var(user_atom("q")), Var(user_atom("r"))
@@ -100,7 +100,7 @@ def test_subformulas_bounded_by_node_count(corpus):
             for e in (rule.head, rule.body):
                 subs = subformulas(e)
                 assert len(subs) <= expr_size(e)
-                nodes = set(walk(e))
+                nodes = set(_reference_subformulas(e, False))
                 assert all(s in nodes for s in subs)
 
 
