@@ -165,6 +165,10 @@ def _cmd_check(args: argparse.Namespace) -> int:
                 print(line)
         return 1 if failed else 0
     if args.kind == "modular":
+        if args.mode != "structural":
+            raise ValueError(
+                "check modular checks the structural translation only, "
+                f"not --mode {args.mode}")
         if args.second is None:
             raise ValueError("check modular requires -j FILE2")
         other = _read_program(args.second, allow_internal=False)
@@ -226,10 +230,14 @@ def build_parser() -> argparse.ArgumentParser:
     p_check = sub.add_parser("check", help="verify translation properties")
     p_check.add_argument("kind", choices=("faithful", "strong", "modular",
                                           "props"))
-    p_check.add_argument("--mode", choices=MODES, default="structural")
+    p_check.add_argument("--mode", choices=MODES, default="structural",
+                         help="translation checked by faithful and strong; "
+                              "modular takes structural only")
     p_check.add_argument("--contexts", type=_POSITIVE, default=25)
     p_check.add_argument("--seed", type=int, default=0)
-    p_check.add_argument("--cap", type=_NON_NEGATIVE, default=DEFAULT_VERIFY_CAP)
+    p_check.add_argument("--cap", type=_NON_NEGATIVE, default=DEFAULT_VERIFY_CAP,
+                         help="largest alphabet that faithful, strong and "
+                              "props enumerate; modular enumerates nothing")
     p_check.add_argument("-i", "--input", default=None)
     p_check.add_argument("-j", "--second", default=None,
                          help="second program (check modular)")

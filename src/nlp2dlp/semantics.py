@@ -33,7 +33,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import chain
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
 
 from .errors import ResourceLimitError
 from .syntax import (
@@ -93,28 +93,26 @@ class _Plan:
         self.positive = positive
 
 
-def _compile(rules: Iterable[Rule]) -> _Plan:
+def _compile(rules: Sequence[Rule]) -> _Plan:
     slot_of: dict[Expr, int] = {}
     atom_index: dict[Atom, int] = {}
     ops: list[tuple[int, int, int]] = []
-    roots: list[tuple[int, int]] = []
-    seen: set[Expr] = set()
-    for rule in rules:
-        for root in (rule.head, rule.body):
-            for e in _new_subformulas(root, False, seen):
-                if isinstance(e, Var):
-                    index = atom_index.setdefault(e.atom, len(atom_index))
-                    op = (_VAR, index, 0)
-                elif isinstance(e, Not):
-                    op = (_NOT, slot_of[e.child], 0)
-                elif isinstance(e, (And, Or)):
-                    binary = _AND if isinstance(e, And) else _OR
-                    op = (binary, slot_of[e.left], slot_of[e.right])
-                else:
-                    op = (_TOP if isinstance(e, Top) else _BOT, 0, 0)
-                slot_of[e] = len(ops)
-                ops.append(op)
-        roots.append((slot_of[rule.head], slot_of[rule.body]))
+    for e in _new_subformulas([root for rule in rules
+                               for root in (rule.head, rule.body)],
+                              False, set()):
+        if isinstance(e, Var):
+            index = atom_index.setdefault(e.atom, len(atom_index))
+            op = (_VAR, index, 0)
+        elif isinstance(e, Not):
+            op = (_NOT, slot_of[e.child], 0)
+        elif isinstance(e, (And, Or)):
+            binary = _AND if isinstance(e, And) else _OR
+            op = (binary, slot_of[e.left], slot_of[e.right])
+        else:
+            op = (_TOP if isinstance(e, Top) else _BOT, 0, 0)
+        slot_of[e] = len(ops)
+        ops.append(op)
+    roots = [(slot_of[rule.head], slot_of[rule.body]) for rule in rules]
 
     n = len(ops)
     folds: list[list[tuple[int, int]]] = [[] for _ in range(n)]

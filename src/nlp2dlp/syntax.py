@@ -22,7 +22,7 @@ import re
 from dataclasses import dataclass, field
 from enum import Enum
 from operator import attrgetter
-from typing import Iterable
+from typing import Iterable, Sequence
 
 LABEL_PREFIX = "l_"
 BAR_PREFIX = "n_"
@@ -44,11 +44,16 @@ class Atom:
     identity defaults.  A name is checked once, when its instance is
     first made; ``Atom(name, kind)`` raises ``ValueError`` for a name
     that is not valid for ``kind``.  Instances are immutable.
+
+    ``var`` is the atom's one ``Var`` node, made with the instance, so
+    the parser and the stages that emit an atom share one leaf for it
+    instead of building a new one each time.
     """
 
-    __slots__ = ("name", "kind")
+    __slots__ = ("name", "kind", "var")
     name: str
     kind: AtomKind
+    var: "Var"
 
     def __new__(cls, name: str, kind: AtomKind = AtomKind.USER) -> "Atom":
         atom = _ATOMS.get(name)
@@ -59,6 +64,7 @@ class Atom:
         atom = object.__new__(cls)
         object.__setattr__(atom, "name", name)
         object.__setattr__(atom, "kind", kind)
+        object.__setattr__(atom, "var", Var(atom))
         # atomic, should two threads make the same new name at once
         return _ATOMS.setdefault(name, atom)
 
@@ -459,16 +465,17 @@ def subformulas(expr: Expr, ht_atomic: bool = False) -> list[Expr]:
     With ``ht_atomic`` set, HT-literals are kept as atomic units, so
     ``not not p`` contributes itself rather than ``p`` and ``not p``.
     """
-    return _new_subformulas(expr, ht_atomic, set())
+    return _new_subformulas((expr,), ht_atomic, set())
 
 
-def _new_subformulas(expr: Expr, ht_atomic: bool, seen: set[Expr]
-                     ) -> list[Expr]:
-    """``subformulas`` of ``expr`` that are not in ``seen``, which gains
-    them; the subexpressions of a node in ``seen`` are skipped, as they
-    were added with it."""
+def _new_subformulas(roots: Sequence[Expr], ht_atomic: bool,
+                     seen: set[Expr]) -> list[Expr]:
+    """``subformulas`` of the roots, walked in order on one stack, that
+    are not in ``seen``, which gains them; the subexpressions of a node
+    in ``seen`` are skipped, as they were added with it.  Each node is
+    listed after every subexpression of it that the list holds."""
     out: list[Expr] = []
-    stack: list[tuple[Expr, bool]] = [(expr, False)]
+    stack: list[tuple[Expr, bool]] = [(e, False) for e in reversed(roots)]
     while stack:
         e, expanded = stack.pop()
         if expanded:

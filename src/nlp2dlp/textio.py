@@ -92,7 +92,7 @@ def _read(text: str, origin: str, allow_internal: bool,
     identifier, and fails as an atom name wherever it is read.
     """
     lexemes, kinds = _tokenize(text)
-    # one node per atom name, made where it first occurs
+    # the atoms' nodes by name, so each name is checked once per text
     names: dict[str, Var] = {}
     rules: list[Rule] = []
     # the pending operators, innermost last, as node classes, with None
@@ -123,8 +123,8 @@ def _read(text: str, origin: str, allow_internal: bool,
                     expr = names.get(lexemes[i - 1])
                     if expr is None:
                         try:
-                            expr = Var(parse_atom(lexemes[i - 1],
-                                                  allow_internal))
+                            expr = parse_atom(lexemes[i - 1],
+                                              allow_internal).var
                         except ValueError as exc:
                             raise _fail(str(exc), text, origin,
                                         i - 1) from None

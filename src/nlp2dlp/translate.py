@@ -116,10 +116,13 @@ def normalize_nnf(expr: Expr) -> Expr:
 
 
 def tr1(program: Program) -> Program:
-    """Normalize every head and body into HT-NNF."""
+    """Normalize every head and body into HT-NNF; a rule already in
+    HT-NNF is passed on as the same object."""
+    nnf = ProgramClass.NNF.value
     # the rewrites keep every atom
     return Program._derived(
-        tuple(Rule(normalize_nnf(r.head), normalize_nnf(r.body))
+        tuple(r if r._rank <= nnf
+              else Rule(normalize_nnf(r.head), normalize_nnf(r.body))
               for r in program.rules),
         program.alphabet, program.var(),
     )
@@ -138,10 +141,32 @@ def _require(program: Program, cls: ProgramClass, stage: str) -> None:
 _HEAD, _BODY = 1, 2
 
 
+def _positions(program: Program, subs: list[Expr]) -> dict[Expr, int]:
+    """The positions each of ``subs``, the subformulas of an HT-NNF
+    program, occurs in.  The roots seed their own position, and a
+    reverse pass hands each conjunction's or disjunction's bits to its
+    children: reversed, the list puts each node after all the nodes
+    that contain it.  In HT-NNF every ``not`` is an HT-literal, with no
+    subformula below it in the list."""
+    where = dict.fromkeys(subs, 0)
+    for r in program.rules:
+        where[r.head] |= _HEAD
+        where[r.body] |= _BODY
+    for sub in reversed(subs):
+        kind = type(sub)
+        if kind is And or kind is Or:
+            bits = where[sub]
+            where[sub.left] |= bits
+            where[sub.right] |= bits
+    return where
+
+
 def tr2(program: Program, table: AtomTable, *, polarity: bool = False,
         simplify: bool = False) -> Program:
     """Label every subformula, flattening rules to label-level shape.
 
+    The heads and bodies are walked once, in rule order, head before
+    body, so new labels are numbered in order of first occurrence.
     With ``polarity`` set, only the direction needed for the position of
     each occurrence is emitted (body: introduction, head: elimination);
     this optimization is unsound for answer-set projection and exists as
@@ -150,47 +175,42 @@ def tr2(program: Program, table: AtomTable, *, polarity: bool = False,
     """
     _require(program, ProgramClass.NNF, "tr2")
 
-    # each subformula, in order of first occurrence: its label node (a
-    # kept constant stands for itself) and the positions it occurs in
-    entries: dict[Expr, list] = {}
-    # per position, the subformulas seen there so far: a repeated subtree
-    # is looked up once, not once per node
-    seen = {_HEAD: set(), _BODY: set()}
+    subs = _new_subformulas(
+        [e for r in program.rules for e in (r.head, r.body)], True, set())
+    # each subformula's label node; a kept constant stands for itself
+    node_of: dict[Expr, Expr] = {}
     label = table.label
     created = []
-    for rule in program.rules:
-        for position, root in ((_HEAD, rule.head), (_BODY, rule.body)):
-            for sub in _new_subformulas(root, True, seen[position]):
-                entry = entries.get(sub)
-                if entry is not None:
-                    entry[1] |= position
-                elif simplify and (type(sub) is Top or type(sub) is Bot):
-                    entries[sub] = [sub, position]
-                else:
-                    atom = label(sub)
-                    created.append(atom)
-                    entries[sub] = [Var(atom), position]
+    for sub in subs:
+        if simplify and (type(sub) is Top or type(sub) is Bot):
+            node_of[sub] = sub
+        else:
+            atom = label(sub)
+            created.append(atom)
+            node_of[sub] = atom.var
+    if polarity:
+        where = _positions(program, subs)
 
-    rules = [Rule(entries[r.head][0], entries[r.body][0])
-             for r in program.rules]
+    rules = [Rule(node_of[r.head], node_of[r.body]) for r in program.rules]
     append = rules.append
     intro = elim = True
-    for sub, (lv, where) in entries.items():
+    for sub, lv in node_of.items():
         if lv is sub:
             # a constant kept in place needs no rule
             continue
         if polarity:
-            intro, elim = where & _BODY, where & _HEAD
+            bits = where[sub]
+            intro, elim = bits & _BODY, bits & _HEAD
         kind = type(sub)
         if kind is And:
-            left, right = entries[sub.left][0], entries[sub.right][0]
+            left, right = node_of[sub.left], node_of[sub.right]
             if intro:
                 append(Rule(lv, And(left, right)))
             if elim:
                 append(Rule(left, lv))
                 append(Rule(right, lv))
         elif kind is Or:
-            left, right = entries[sub.left][0], entries[sub.right][0]
+            left, right = node_of[sub.left], node_of[sub.right]
             # both directions: an Or's elimination comes first
             if elim and not polarity:
                 append(Rule(Or(left, right), lv))
@@ -285,14 +305,14 @@ def tr4(program: Program, table: AtomTable) -> Program:
             if isinstance(lit, Not) and isinstance(lit.child, Var):
                 atom = lit.child.atom
                 if atom not in barred:
-                    barred[atom] = Var(table.bar(atom))
+                    barred[atom] = table.bar(atom).var
                 new_lits.append(barred[atom])
             else:
                 new_lits.append(lit)
         rules.append(Rule(disjunction(new_lits), rule.body))
     for atom, bar in barred.items():
-        rules.append(Rule(BOT, And(Var(atom), bar)))
-        rules.append(Rule(bar, Not(Var(atom))))
+        rules.append(Rule(BOT, And(atom.var, bar)))
+        rules.append(Rule(bar, Not(atom.var)))
     # ``:- p, n_p`` keeps each barred atom
     created = frozenset(bar.atom for bar in barred.values())
     return Program._derived(tuple(rules), program.alphabet,

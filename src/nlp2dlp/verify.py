@@ -18,7 +18,7 @@ from typing import Iterable, Sequence
 from .errors import ResourceLimitError
 from .semantics import Interpretation, answer_sets
 from .syntax import (
-    BOT, TOP, And, Atom, Expr, Not, Or, Program, Rule, Var, conjunction,
+    BOT, TOP, And, Atom, Expr, Not, Or, Program, Rule, conjunction,
     disjunction, user_atom,
 )
 from .translate import (
@@ -148,10 +148,10 @@ def family_program(family: str, n: int) -> Program:
         raise ValueError("family size must be at least 1")
     pairs = [(user_atom(f"a{i}"), user_atom(f"b{i}")) for i in range(1, n + 1)]
     if family == "dnf_head":
-        head = disjunction([And(Var(a), Var(b)) for a, b in pairs])
+        head = disjunction([And(a.var, b.var) for a, b in pairs])
         return Program((Rule(head, TOP),))
-    body = conjunction([Or(Var(a), Var(b)) for a, b in pairs])
-    return Program((Rule(Var(user_atom("p")), body),))
+    body = conjunction([Or(a.var, b.var) for a, b in pairs])
+    return Program((Rule(user_atom("p").var, body),))
 
 
 @dataclass(frozen=True)
@@ -210,7 +210,7 @@ def _random_expr(rng: random.Random, atoms: Sequence[Atom], depth: int) -> Expr:
             return TOP
         if roll < 0.10:
             return BOT
-        return Var(rng.choice(atoms))
+        return rng.choice(atoms).var
     roll = rng.random()
     if roll < 0.30:
         return Not(_random_expr(rng, atoms, depth - 1))

@@ -142,6 +142,26 @@ def test_check_modular_requires_second_file(capsys, monkeypatch):
     assert err.splitlines()[-1] == "error: check modular requires -j FILE2"
 
 
+@pytest.mark.parametrize("mode", ["polarity", "distributive"])
+def test_check_modular_rejects_other_modes(tmp_path, capsys, monkeypatch,
+                                           mode):
+    second = tmp_path / "second.lp"
+    second.write_text("q :- not p.\n")
+    code, out, err = call_main(
+        ["check", "modular", "--mode", mode, "--cap", "0", "-j", str(second)],
+        "p :- not q.", capsys, monkeypatch)
+    assert code == 2 and out == ""
+    assert err.splitlines() == [
+        "error: check modular checks the structural translation only, "
+        f"not --mode {mode}"]
+
+
+def test_check_help_says_modular_enumerates_nothing(capsys, monkeypatch):
+    code, out, _ = call_main(["check", "--help"], "", capsys, monkeypatch)
+    assert code == 0
+    assert "modular enumerates nothing" in " ".join(out.split())
+
+
 def test_check_props(capsys, monkeypatch):
     code, out, _ = call_main(["check", "props"], CLOSING, capsys, monkeypatch)
     assert code == 0

@@ -12,8 +12,8 @@ from nlp2dlp import (
     label_atom, program_in_class, program_size, subformulas, tr1, tr2, tr3,
     tr4, translate_distributive, user_atom,
 )
-from nlp2dlp.syntax import _rule_rank
-from nlp2dlp.textio import parse_atom
+from nlp2dlp.syntax import _new_subformulas, _rule_rank
+from nlp2dlp.textio import parse, parse_atom
 
 p, q, r = Var(user_atom("p")), Var(user_atom("q")), Var(user_atom("r"))
 
@@ -61,6 +61,28 @@ def test_atom_kinds_and_validation():
     assert repr(atom) == "Atom(name='p', kind=<AtomKind.USER: 'user'>)"
 
 
+def test_atom_carries_its_one_var():
+    for atom in (user_atom("p"), label_atom(7), bar_atom(user_atom("q")),
+                 parse_atom("l_8", True)):
+        assert isinstance(atom.var, Var) and atom.var.atom is atom
+        assert Var(atom) == atom.var
+        assert copy.deepcopy(atom).var is atom.var
+        assert pickle.loads(pickle.dumps(atom)).var is atom.var
+        with pytest.raises(AttributeError):
+            atom.var = Var(atom)
+        with pytest.raises(AttributeError):
+            del atom.var
+    # the parser and the stages emit the atom's own node
+    rule = parse("n_q :- p, not l_8.", allow_internal=True).rules[0]
+    assert rule.head is bar_atom(user_atom("q")).var
+    assert rule.body.left is user_atom("p").var
+    assert rule.body.right.child is label_atom(8).var
+    labelled = tr2(parse("p."), AtomTable())
+    assert labelled.rules[0].head is label_atom(0).var
+    barred = tr4(parse("not q :- r."), AtomTable())
+    assert barred.rules[0].head is bar_atom(user_atom("q")).var
+
+
 def test_classify_examples():
     # {p :- not q} satisfies the generalized-disjunctive shape; with no
     # negated head it is already disjunctive, the more specific class
@@ -92,6 +114,27 @@ def test_subformulas_order_and_dedup():
     assert subformulas(e) == [r, p, q, And(p, q), e]
     assert subformulas(Not(Not(p)), ht_atomic=True) == [Not(Not(p))]
     assert subformulas(And(p, p)) == [p, And(p, p)]
+
+
+def test_walk_over_several_roots_is_the_per_root_walks_in_turn(corpus):
+    for program in corpus:
+        for staged in (program, tr1(program)):
+            roots = [e for r in staged.rules for e in (r.head, r.body)]
+            for ht_atomic in (False, True):
+                # a node seen before the walk is skipped with its subtree
+                before = set(subformulas(roots[-1], ht_atomic))
+                shared = set(before)
+                in_turn = [s for root in roots for s in
+                           _new_subformulas((root,), ht_atomic, shared)]
+                seen = set(before)
+                walked = _new_subformulas(roots, ht_atomic, seen)
+                assert walked == in_turn and seen == shared
+                reference_walk = []
+                for root in roots:
+                    for s in _reference_subformulas(root, ht_atomic):
+                        if s not in before and s not in reference_walk:
+                            reference_walk.append(s)
+                assert walked == reference_walk
 
 
 def test_subformulas_bounded_by_node_count(corpus):

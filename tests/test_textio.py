@@ -197,6 +197,37 @@ def test_print_dlv_golden_digest(mode, simplify):
     assert digest == GOLDEN_DLV[mode, simplify]
 
 
+def _scale_text(mode, simplify):
+    """``print_dlv`` of one generated program of 2,000 rules over 40
+    atoms at depth 6 (seed 992 draws the full rule count)."""
+    program = generate_program(GeneratorConfig(
+        seed=992, max_atoms=40, max_depth=6, max_rules=2000))
+    assert len(program.rules) == 2000
+    translated, _ = translate_mode(program, mode, simplify=simplify)
+    return print_dlv(translated)
+
+
+# SHA-256 of ``_scale_text``, taken before the labelling stage walked
+# all heads and bodies at once: the printed output must not change at a
+# scale where one subformula recurs across many rules
+SCALE_DLV = {
+    ("structural", False):
+        "87d98cefdc7e633f02fa00c9ab0a76a3ded5c4d3d3353b31039cff05496c2da3",
+    ("structural", True):
+        "46355faba4981419e9265170f0c7fec1a63a3cb57d8c2fb9181ed7ca8c377ff7",
+    ("polarity", False):
+        "56c42adc2057c81e7b79f1ce19cbf1ced083793cfcfe69e1f2477b44e4c1d1e3",
+    ("polarity", True):
+        "7f6a3a856a59a8e80cf0b98199af55dabbd38ec32bc4b609a8bd73bbe71b5d2d",
+}
+
+
+@pytest.mark.parametrize("mode, simplify", sorted(SCALE_DLV))
+def test_print_dlv_scale_digest(mode, simplify):
+    digest = hashlib.sha256(_scale_text(mode, simplify).encode()).hexdigest()
+    assert digest == SCALE_DLV[mode, simplify]
+
+
 def _golden_nested_text():
     """``print_nested`` of the programs behind ``_golden_text``."""
     return "".join(

@@ -11,7 +11,8 @@ from nlp2dlp import (
     translate_distributive, translate_polarity_variant, translate_structural,
     user_atom,
 )
-from nlp2dlp import syntax
+import reference_tr2
+from nlp2dlp import semantics, syntax, translate
 from nlp2dlp.syntax import expr_atoms, is_ht_nnf
 from nlp2dlp.translate import _structural_pipeline
 
@@ -86,6 +87,14 @@ def test_tr1_examples():
     assert tr1(Program()).rules == ()
 
 
+def test_tr1_passes_nnf_rules_through():
+    program = parse("p v not q :- r, not not s. p :- not (q v r). :- q.")
+    out = tr1(program)
+    assert out.rules[0] is program.rules[0]
+    assert out.rules[2] is program.rules[2]
+    assert out.rules[1] == Rule(p, And(Not(q), Not(r)))
+
+
 def test_tr2_golden_single_negated_body():
     l0, l1 = Var(label_atom(0)), Var(label_atom(1))
     out = tr2(parse("p :- not q."), AtomTable())
@@ -143,6 +152,46 @@ def test_tr2_emits_each_subformula_in_its_first_occurrence_slot():
     assert first.labels_created == 6
     assert second.labels_created == 1
     assert again.rules[0] == Rule(Var(label_atom(6)), l2)
+
+
+def test_tr2_matches_the_per_position_reference():
+    # deeper and longer than the golden digests' programs, so that one
+    # subformula recurs in heads and bodies at many depths
+    for seed in range(300):
+        program = tr1(generate_program(GeneratorConfig(
+            seed=seed, max_atoms=6, max_depth=5, max_rules=8)))
+        for polarity in (False, True):
+            for simplify in (False, True):
+                table, expected_table = AtomTable(), AtomTable()
+                out = tr2(program, table, polarity=polarity,
+                          simplify=simplify)
+                expected = reference_tr2.tr2(program, expected_table,
+                                             polarity=polarity,
+                                             simplify=simplify)
+                assert out.rules == expected, (seed, polarity, simplify)
+                assert table.labels == expected_table.labels
+
+
+def test_tr2_and_the_oracle_walk_each_program_once(monkeypatch):
+    program = tr1(parse("p v not q :- not not (r, s), not (p v q)."
+                        " :- not not t. not r v (s, not p). s :- r, s."))
+    calls = []
+
+    def counted(module):
+        walk = module._new_subformulas
+
+        def call(roots, ht_atomic, seen):
+            calls.append(module.__name__)
+            return walk(roots, ht_atomic, seen)
+        monkeypatch.setattr(module, "_new_subformulas", call)
+
+    counted(translate)
+    counted(semantics)
+    for polarity in (False, True):
+        for simplify in (False, True):
+            tr2(program, AtomTable(), polarity=polarity, simplify=simplify)
+    semantics._compile(program.rules)
+    assert calls == ["nlp2dlp.translate"] * 4 + ["nlp2dlp.semantics"]
 
 
 def test_tr2_rejects_non_nnf_input():
