@@ -12,10 +12,10 @@ from .semantics import (
 from .syntax import (
     BOT, TOP, And, Atom, AtomKind, Bot, Expr, Not, Or, Program,
     ProgramClass, Rule, Top, Var, bar_atom, classify, conjunction,
-    disjunction, expr_atoms, expr_size, is_ht_literal, is_ht_nnf,
-    label_atom, program_in_class, program_size, subformulas, user_atom,
+    disjunction, is_ht_literal, is_ht_nnf, label_atom, program_size,
+    subformulas, user_atom,
 )
-from .textio import format_expr, parse, parse_expression, print_dlv, print_nested
+from .textio import format_expr, parse, print_dlv, print_nested
 from .translate import (
     AtomTable, TranslationReport, normalize_nnf, tr1, tr2, tr3, tr4,
     translate_distributive, translate_polarity_variant, translate_structural,

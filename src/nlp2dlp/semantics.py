@@ -5,9 +5,9 @@ Everything works by explicit enumeration over a caller-supplied alphabet
 and is intended as a desk-scale oracle, not a solver.
 
 Each call compiles the rules once into a flat plan: the distinct
-subformulas in post-order, as ``syntax`` lists them, one slot each, so
-structurally equal subtrees share a slot and each step reads only
-earlier slots.  Every evaluator is a loop over that plan, so none
+subformulas in post-order, as one ``syntax.subformulas`` walk over all
+the heads and bodies lists them, one slot each, so structurally equal
+subtrees share a slot and each step reads only earlier slots.  Every evaluator is a loop over that plan, so none
 recurses, and each is bit-parallel.  Interpretations are numbered by the
 bits of an index and evaluated in windows of at most 2^_WINDOW at a
 time: in a window the lowest _WINDOW atoms vary and every higher one is
@@ -37,7 +37,7 @@ from typing import Iterable, Iterator, Sequence
 
 from .errors import ResourceLimitError
 from .syntax import (
-    And, Atom, Expr, Not, Or, Program, Rule, Top, Var, _new_subformulas,
+    And, Atom, Expr, Not, Or, Program, Rule, Top, Var, subformulas,
 )
 
 DEFAULT_CAP = 20
@@ -97,9 +97,8 @@ def _compile(rules: Sequence[Rule]) -> _Plan:
     slot_of: dict[Expr, int] = {}
     atom_index: dict[Atom, int] = {}
     ops: list[tuple[int, int, int]] = []
-    for e in _new_subformulas([root for rule in rules
-                               for root in (rule.head, rule.body)],
-                              False, set()):
+    for e in subformulas([root for rule in rules
+                          for root in (rule.head, rule.body)]):
         if isinstance(e, Var):
             index = atom_index.setdefault(e.atom, len(atom_index))
             op = (_VAR, index, 0)

@@ -13,7 +13,9 @@ own rank when it is built, so testing a whole program against a class is
 one C-level ``max`` over its rules.
 Every traversal keeps an explicit stack instead of recursing, so a long
 rule body or a deep nesting costs time linear in its size and never
-meets Python's recursion limit.
+meets Python's recursion limit.  ``subformulas`` is the one walk over
+subformulas: tr2 and the oracle's compiler each make one over all the
+heads and bodies of a program.
 """
 
 from __future__ import annotations
@@ -327,14 +329,6 @@ def disjuncts(expr: Expr) -> list[Expr]:
     return _leaves(expr, Or) if isinstance(expr, Or) else [expr]
 
 
-def expr_size(expr: Expr) -> int:
-    return expr._size
-
-
-def expr_atoms(expr: Expr) -> frozenset[Atom]:
-    return _atoms((expr,))
-
-
 def _atoms(exprs: Iterable[Expr]) -> frozenset[Atom]:
     atoms: set[Atom] = set()
     stack = list(exprs)
@@ -427,9 +421,6 @@ class Program:
                                 self.alphabet | other.alphabet,
                                 self._var | other._var)
 
-    def __len__(self) -> int:
-        return len(self.rules)
-
 
 _rule_rank = attrgetter("_rank")
 
@@ -450,30 +441,20 @@ def _first_out_of_class(rules: tuple[Rule, ...], cls: ProgramClass
     return next(i for i, rule in enumerate(rules) if rule._rank > limit)
 
 
-def program_in_class(program: Program, cls: ProgramClass) -> bool:
-    return _program_rank(program.rules) <= cls.value
-
-
 def classify(program: Program) -> ProgramClass:
     """Most specific syntactic class containing the program."""
     return _CLASSES[_program_rank(program.rules)]
 
 
-def subformulas(expr: Expr, ht_atomic: bool = False) -> list[Expr]:
-    """Distinct subexpressions, left-to-right and bottom-up.
+def subformulas(roots: Sequence[Expr], ht_atomic: bool = False) -> list[Expr]:
+    """Distinct subexpressions of the roots, walked in order on one
+    stack, left-to-right and bottom-up: each is listed once, after every
+    subexpression of it.
 
     With ``ht_atomic`` set, HT-literals are kept as atomic units, so
     ``not not p`` contributes itself rather than ``p`` and ``not p``.
     """
-    return _new_subformulas((expr,), ht_atomic, set())
-
-
-def _new_subformulas(roots: Sequence[Expr], ht_atomic: bool,
-                     seen: set[Expr]) -> list[Expr]:
-    """``subformulas`` of the roots, walked in order on one stack, that
-    are not in ``seen``, which gains them; the subexpressions of a node
-    in ``seen`` are skipped, as they were added with it.  Each node is
-    listed after every subexpression of it that the list holds."""
+    seen: set[Expr] = set()
     out: list[Expr] = []
     stack: list[tuple[Expr, bool]] = [(e, False) for e in reversed(roots)]
     while stack:

@@ -80,10 +80,13 @@ def _fail(message: str, text: str, origin: str, index: int) -> ParseError:
     return _error(message, text, origin, pos)
 
 
-def _read(text: str, origin: str, allow_internal: bool,
-          program: bool) -> Program | Expr:
-    """The program spelled by ``text`` or, without ``program``, its one
-    expression.
+def parse(text: str, origin: str = "<string>",
+          allow_internal: bool = False) -> Program:
+    """Parse program text; the package's one reader, so an expression
+    ``e`` is read as ``parse("e.").rules[0].head``.
+
+    ``allow_internal`` admits label (``l_``) and bar (``n_``) atoms, as
+    needed to re-read translated output; user input rejects them.
 
     The lexemes and their kinds are read by one index.  An expression is
     read by an operator-precedence loop; parentheses open a group on the
@@ -103,18 +106,17 @@ def _read(text: str, origin: str, allow_internal: bool,
     depth = 0  # open parentheses, none between expressions
     i = 0
     while True:
-        if program:
-            kind = kinds[i]
-            if kind == "eof":
-                # every node in ``names`` was placed in a rule
-                return Program._derived(tuple(rules), frozenset(), frozenset(
-                    node.atom for node in names.values()))
-            if kind == "dot":
-                raise _fail("empty rule", text, origin, i)
-            in_body = kind == "arrow"
-            if in_body:
-                head = BOT
-                i += 1
+        kind = kinds[i]
+        if kind == "eof":
+            # every node in ``names`` was placed in a rule
+            return Program._derived(tuple(rules), frozenset(), frozenset(
+                node.atom for node in names.values()))
+        if kind == "dot":
+            raise _fail("empty rule", text, origin, i)
+        in_body = kind == "arrow"
+        if in_body:
+            head = BOT
+            i += 1
         while True:
             while True:
                 kind = kinds[i]
@@ -178,12 +180,6 @@ def _read(text: str, origin: str, allow_internal: bool,
                 ops.append(op)
                 lefts.append(expr)
                 i += 1
-            if not program:
-                if kinds[i] != "eof":
-                    raise _fail(
-                        f"expected end of input, found {lexemes[i]!r}",
-                        text, origin, i)
-                return expr
             if in_body:
                 body = expr
                 break
@@ -214,32 +210,7 @@ def parse_atom(name: str, allow_internal: bool = False) -> Atom:
     return Atom(name, AtomKind.USER)
 
 
-def parse(text: str, origin: str = "<string>",
-          allow_internal: bool = False) -> Program:
-    """Parse program text.
-
-    ``allow_internal`` admits label (``l_``) and bar (``n_``) atoms, as
-    needed to re-read translated output; user input rejects them.
-    """
-    return _read(text, origin, allow_internal, True)
-
-
-def parse_expression(text: str, origin: str = "<string>",
-                     allow_internal: bool = False) -> Expr:
-    return _read(text, origin, allow_internal, False)
-
-
-_PREC_OR, _PREC_AND, _PREC_NOT, _PREC_ATOM = 1, 2, 3, 4
-
-
-def _prec(expr: Expr) -> int:
-    if isinstance(expr, Or):
-        return _PREC_OR
-    if isinstance(expr, And):
-        return _PREC_AND
-    if isinstance(expr, Not):
-        return _PREC_NOT
-    return _PREC_ATOM
+_PREC_OR, _PREC_AND, _PREC_NOT = 1, 2, 3
 
 
 def format_expr(expr: Expr) -> str:
@@ -255,16 +226,18 @@ def format_expr(expr: Expr) -> str:
             continue
         e, min_prec = item
         if isinstance(e, Not):
-            parts = ["not ", (e.child, _PREC_NOT)]
+            prec, parts = _PREC_NOT, ["not ", (e.child, _PREC_NOT)]
         elif isinstance(e, And):
             # right operand at a higher level keeps reparsing left-associative
-            parts = [(e.left, _PREC_AND), ", ", (e.right, _PREC_NOT)]
+            prec, parts = _PREC_AND, [(e.left, _PREC_AND), ", ",
+                                      (e.right, _PREC_NOT)]
         elif isinstance(e, Or):
-            parts = [(e.left, _PREC_OR), " v ", (e.right, _PREC_AND)]
+            prec, parts = _PREC_OR, [(e.left, _PREC_OR), " v ",
+                                     (e.right, _PREC_AND)]
         else:
             out.append(_atomic_text(e))
             continue
-        if _prec(e) < min_prec:
+        if prec < min_prec:
             parts = ["(", *parts, ")"]
         stack.extend(reversed(parts))
     return "".join(out)
@@ -290,18 +263,13 @@ def print_nested(program: Program) -> str:
 
 
 def _dlv_literal(expr: Expr) -> str:
-    """An atom, a truth constant, or ``not`` before one."""
+    """An atom, a truth constant, or ``not`` before one: a literal of a
+    disjunctive rule."""
     if type(expr) is Var:
         return expr.atom.name
     if type(expr) is Not:
-        child = expr.child
-        if type(child) is Var:
-            return "not " + child.atom.name
-    nots = 0
-    while isinstance(expr, Not):
-        nots += 1
-        expr = expr.child
-    return "not " * nots + _atomic_text(expr)
+        return "not " + _atomic_text(expr.child)
+    return _atomic_text(expr)
 
 
 def _dlv_literals(expr: Expr, op: type[Expr], sep: str) -> str:
@@ -316,7 +284,7 @@ def _dlv_literals(expr: Expr, op: type[Expr], sep: str) -> str:
     return _dlv_literal(left) + sep + _dlv_literal(right)
 
 
-def format_dlv_rule(rule: Rule) -> str:
+def _format_dlv_rule(rule: Rule) -> str:
     head, body = rule.head, rule.body
     # ``a :- b.``, most of what a translation prints, directly
     if type(head) is Var and type(body) is Var:
@@ -342,4 +310,4 @@ def print_dlv(program: Program) -> str:
         raise NotDisjunctiveError(
             f"not in disjunctive form: {format_rule(program.rules[bad])}")
     return "".join([line + "\n"
-                    for line in map(format_dlv_rule, program.rules)])
+                    for line in map(_format_dlv_rule, program.rules)])

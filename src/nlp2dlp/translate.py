@@ -27,8 +27,8 @@ from .errors import ResourceLimitError, StageInputError
 from .syntax import (
     BOT, TOP, And, Atom, Bot, Expr, Not, Or, Program, ProgramClass, Rule,
     Top, Var, bar_atom, conjuncts, disjunction, disjuncts, conjunction,
-    is_ht_literal, is_ht_nnf, label_atom, program_size, _first_out_of_class,
-    _new_subformulas,
+    is_ht_literal, is_ht_nnf, label_atom, program_size, subformulas,
+    _first_out_of_class,
 )
 from .textio import format_rule
 
@@ -175,8 +175,8 @@ def tr2(program: Program, table: AtomTable, *, polarity: bool = False,
     """
     _require(program, ProgramClass.NNF, "tr2")
 
-    subs = _new_subformulas(
-        [e for r in program.rules for e in (r.head, r.body)], True, set())
+    subs = subformulas([e for r in program.rules for e in (r.head, r.body)],
+                       True)
     # each subformula's label node; a kept constant stands for itself
     node_of: dict[Expr, Expr] = {}
     label = table.label

@@ -127,6 +127,16 @@ def test_check_strong(capsys, monkeypatch):
     assert out.count(": ok") == 5
 
 
+def test_check_strong_reports_each_mismatch(capsys, monkeypatch):
+    code, out, _ = call_main(
+        ["check", "strong", "--mode", "polarity", "--contexts", "3"],
+        "a v not c.\n", capsys, monkeypatch)
+    assert code == 1
+    assert out.splitlines()[0] == "context 0: mismatch witness {a}"
+    assert all(line.endswith(": ok") or " mismatch witness " in line
+               for line in out.splitlines())
+
+
 def test_check_modular(tmp_path, capsys, monkeypatch):
     second = tmp_path / "second.lp"
     second.write_text("q :- not p.\n")

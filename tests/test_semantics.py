@@ -7,7 +7,7 @@ from nlp2dlp import (
     BOT, TOP, And, GeneratorConfig, HTInterpretation, Not, Or, Program,
     ResourceLimitError, Rule, Var, answer_sets, classical_models,
     equilibrium_models, format_expr, generate_program, ht_equivalent,
-    ht_models, parse, parse_expression, semantics, subformulas,
+    ht_models, parse, semantics, subformulas,
     translate_structural, user_atom,
 )
 
@@ -199,18 +199,22 @@ def test_proposition_1_on_corpus(corpus):
             equilibrium_models(program, alphabet)
 
 
+def _reparsed(e):
+    """A structurally equal copy of ``e``, built apart by the parser."""
+    return parse(format_expr(e) + ".").rules[0].head
+
+
 def _with_shared_subtrees(program, rng):
     """The program plus rules that reuse its subformulas, both as the same
     objects and as structurally equal copies, inside and outside ``not``."""
     subs = [s for r in program.rules for e in (r.head, r.body)
-            for s in subformulas(e)]
+            for s in subformulas((e,))]
     rules = list(program.rules)
     for _ in range(2):
         s, t = rng.choice(subs), rng.choice(subs)
-        copy = parse_expression(format_expr(s))
+        copy = _reparsed(s)
         rules.append(Rule(s, And(Not(copy), t)))
-        rules.append(Rule(Or(parse_expression(format_expr(t)), Not(s)),
-                          Not(Not(t))))
+        rules.append(Rule(Or(_reparsed(t), Not(s)), Not(Not(t))))
     return Program(tuple(rules), program.alphabet)
 
 
@@ -237,7 +241,7 @@ def test_plan_has_one_step_per_distinct_subformula(corpus):
         shared = _with_shared_subtrees(program, rng)
         for rules in (program.rules, translated.rules, shared.rules):
             distinct = {s for r in rules for e in (r.head, r.body)
-                        for s in subformulas(e)}
+                        for s in subformulas((e,))}
             assert len(semantics._compile(rules).steps) == len(distinct)
 
 

@@ -8,11 +8,11 @@ import reference_classifier as reference
 from nlp2dlp import (
     TOP, And, Atom, AtomKind, AtomTable, Bot, GeneratorConfig, Not, Or,
     Program, ProgramClass, ResourceLimitError, Rule, Top, Var, bar_atom,
-    classify, expr_size, format_expr, generate_program, is_ht_nnf,
-    label_atom, program_in_class, program_size, subformulas, tr1, tr2, tr3,
-    tr4, translate_distributive, user_atom,
+    classify, format_expr, generate_program, is_ht_nnf, label_atom,
+    program_size, subformulas, tr1, tr2, tr3, tr4, translate_distributive,
+    user_atom,
 )
-from nlp2dlp.syntax import _new_subformulas, _rule_rank
+from nlp2dlp.syntax import _first_out_of_class, _rule_rank
 from nlp2dlp.textio import parse, parse_atom
 
 p, q, r = Var(user_atom("p")), Var(user_atom("q")), Var(user_atom("r"))
@@ -87,7 +87,8 @@ def test_classify_examples():
     # {p :- not q} satisfies the generalized-disjunctive shape; with no
     # negated head it is already disjunctive, the more specific class
     neg_body = Program((Rule(p, Not(q)),))
-    assert program_in_class(neg_body, ProgramClass.GENERALIZED_DISJUNCTIVE)
+    assert _first_out_of_class(
+        neg_body.rules, ProgramClass.GENERALIZED_DISJUNCTIVE) is None
     assert classify(neg_body) is ProgramClass.DISJUNCTIVE
     nested_head = Program((Rule(Or(r, And(p, q)), TOP),))
     assert classify(nested_head) is ProgramClass.NNF
@@ -99,7 +100,7 @@ def test_classify_chain_is_monotone(corpus):
     for program in corpus:
         cls = classify(program)
         for larger in order[order.index(cls):]:
-            assert program_in_class(program, larger)
+            assert _first_out_of_class(program.rules, larger) is None
 
 
 def test_classify_ht_literal_heads():
@@ -111,9 +112,11 @@ def test_classify_ht_literal_heads():
 
 def test_subformulas_order_and_dedup():
     e = Or(r, And(p, q))
-    assert subformulas(e) == [r, p, q, And(p, q), e]
-    assert subformulas(Not(Not(p)), ht_atomic=True) == [Not(Not(p))]
-    assert subformulas(And(p, p)) == [p, And(p, p)]
+    assert subformulas((e,)) == [r, p, q, And(p, q), e]
+    assert subformulas((Not(Not(p)),), ht_atomic=True) == [Not(Not(p))]
+    assert subformulas((And(p, p),)) == [p, And(p, p)]
+    assert subformulas((e, And(p, q), Not(r))) == [r, p, q, And(p, q), e,
+                                                    Not(r)]
 
 
 def test_walk_over_several_roots_is_the_per_root_walks_in_turn(corpus):
@@ -121,18 +124,16 @@ def test_walk_over_several_roots_is_the_per_root_walks_in_turn(corpus):
         for staged in (program, tr1(program)):
             roots = [e for r in staged.rules for e in (r.head, r.body)]
             for ht_atomic in (False, True):
-                # a node seen before the walk is skipped with its subtree
-                before = set(subformulas(roots[-1], ht_atomic))
-                shared = set(before)
-                in_turn = [s for root in roots for s in
-                           _new_subformulas((root,), ht_atomic, shared)]
-                seen = set(before)
-                walked = _new_subformulas(roots, ht_atomic, seen)
-                assert walked == in_turn and seen == shared
+                # each node first met in a later root is listed there
+                in_turn = list(dict.fromkeys(
+                    s for root in roots
+                    for s in subformulas((root,), ht_atomic)))
+                walked = subformulas(roots, ht_atomic)
+                assert walked == in_turn
                 reference_walk = []
                 for root in roots:
                     for s in _reference_subformulas(root, ht_atomic):
-                        if s not in before and s not in reference_walk:
+                        if s not in reference_walk:
                             reference_walk.append(s)
                 assert walked == reference_walk
 
@@ -141,8 +142,8 @@ def test_subformulas_bounded_by_node_count(corpus):
     for program in corpus:
         for rule in program.rules:
             for e in (rule.head, rule.body):
-                subs = subformulas(e)
-                assert len(subs) <= expr_size(e)
+                subs = subformulas((e,))
+                assert len(subs) <= e._size
                 nodes = set(_reference_subformulas(e, False))
                 assert all(s in nodes for s in subs)
 
@@ -221,7 +222,7 @@ def test_stored_size_is_the_node_count(x, y):
     a, c = _build(x), _build(y)
     shared = And(a, Or(a, Not(c)))
     for e in (a, c, shared):
-        assert expr_size(e) == _counted_nodes(e)
+        assert e._size == _counted_nodes(e)
     program = Program((Rule(a, c), Rule(shared, TOP)))
     assert program_size(program) == sum(
         _counted_nodes(e) for e in (a, c, shared, TOP)) + 2
@@ -268,7 +269,7 @@ def test_subformulas_match_the_reference_walk(x, y):
     for e in (a, c, And(a, _build(x)), Or(Not(c), And(c, a)), Not(Not(a)),
               Not(Not(Not(c)))):
         for ht_atomic in (False, True):
-            assert subformulas(e, ht_atomic=ht_atomic) == \
+            assert subformulas((e,), ht_atomic=ht_atomic) == \
                 _reference_subformulas(e, ht_atomic)
 
 

@@ -6,8 +6,7 @@ from hypothesis import given, settings, strategies as st
 from nlp2dlp import (
     BOT, TOP, And, GeneratorConfig, Not, NotDisjunctiveError, Or, ParseError,
     Program, Rule, Var, bar_atom, classify, format_expr, generate_program,
-    parse, parse_expression, print_dlv, print_nested, translate_mode,
-    user_atom,
+    parse, print_dlv, print_nested, translate_mode, user_atom,
 )
 
 p, q, r = Var(user_atom("p")), Var(user_atom("q")), Var(user_atom("r"))
@@ -79,14 +78,6 @@ def test_parse_error_line_and_column(text, message, line, col):
     assert str(err) == f"in.lp:{line}:{col}: {message}"
 
 
-def test_parse_expression_error_line_and_column():
-    with pytest.raises(ParseError) as info:
-        parse_expression("p q", origin="in.lp")
-    err = info.value
-    assert (err.message, err.line, err.col) == \
-        ("expected end of input, found 'q'", 1, 3)
-
-
 def test_v_is_disjunction_only_in_infix_position():
     assert parse("v.").rules == (Rule(Var(user_atom("v")), TOP),)
     assert parse("p v q.").rules == (Rule(Or(p, q), TOP),)
@@ -97,8 +88,8 @@ def test_v_is_disjunction_only_in_infix_position():
 def test_precedence_and_comments():
     prog = parse("p v q, not r. % trailing comment\n% full-line comment\n")
     assert prog.rules == (Rule(Or(p, And(q, Not(r))), TOP),)
-    assert parse_expression("(p v q), r") == And(Or(p, q), r)
-    assert parse_expression("not (p, q)") == Not(And(p, q))
+    assert parse("(p v q), r.").rules[0].head == And(Or(p, q), r)
+    assert parse("not (p, q).").rules[0].head == Not(And(p, q))
 
 
 def test_print_nested_examples():
@@ -149,6 +140,11 @@ def test_print_dlv_examples():
     assert print_dlv(Program((Rule(Or(p, q), And(r, Not(q))),))) == \
         "p v q :- r, not q.\n"
     assert print_dlv(Program((Rule(p, TOP),))) == "p.\n"
+    assert print_dlv(Program((Rule(Or(p, Not(TOP)), And(Not(BOT), TOP)),))) \
+        == "p v not true :- not false, true.\n"
+    # three or more literals on a side are printed through the flat list
+    assert print_dlv(parse("a v (b v c) :- d, (e, f).")) == \
+        "a v b v c :- d, e, f.\n"
 
 
 def test_print_dlv_rejects_nested_programs():
@@ -163,6 +159,14 @@ def test_print_dlv_output_reparses_disjunctive(corpus):
         translated, _ = translate_structural(program)
         back = parse(print_dlv(translated), allow_internal=True)
         assert classify(back).value <= ProgramClass.DISJUNCTIVE.value
+    translated, _ = translate_mode(
+        parse("(a, b) v c v not d :- e, not (f v g)."), "distributive")
+    text = print_dlv(translated)
+    assert text.splitlines()[:2] == ["a v c v n_d :- e, not f, not g.",
+                                     "b v c v n_d :- e, not f, not g."]
+    back = parse(text, allow_internal=True)
+    assert back.rules == translated.rules
+    assert classify(back).value <= ProgramClass.DISJUNCTIVE.value
 
 
 def _golden_text(mode, simplify):

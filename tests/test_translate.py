@@ -13,7 +13,7 @@ from nlp2dlp import (
 )
 import reference_tr2
 from nlp2dlp import semantics, syntax, translate
-from nlp2dlp.syntax import expr_atoms, is_ht_nnf
+from nlp2dlp.syntax import is_ht_nnf, subformulas
 from nlp2dlp.translate import _structural_pipeline
 
 pa, qa, ra = user_atom("p"), user_atom("q"), user_atom("r")
@@ -31,7 +31,7 @@ def test_normalize_nnf_examples():
 
 
 def _single_rule_ht_equivalent(e1, e2):
-    alphabet = expr_atoms(e1) | expr_atoms(e2)
+    alphabet = Program((Rule(e1, TOP), Rule(e2, TOP))).var()
     return ht_equivalent(Program((Rule(e1, TOP),)),
                          Program((Rule(e2, TOP),)), alphabet or {pa})
 
@@ -178,12 +178,12 @@ def test_tr2_and_the_oracle_walk_each_program_once(monkeypatch):
     calls = []
 
     def counted(module):
-        walk = module._new_subformulas
+        walk = module.subformulas
 
-        def call(roots, ht_atomic, seen):
+        def call(roots, ht_atomic=False):
             calls.append(module.__name__)
-            return walk(roots, ht_atomic, seen)
-        monkeypatch.setattr(module, "_new_subformulas", call)
+            return walk(roots, ht_atomic)
+        monkeypatch.setattr(module, "subformulas", call)
 
     counted(translate)
     counted(semantics)
@@ -342,9 +342,10 @@ def test_report_counts_are_consistent(corpus):
 
 
 def _walked_atoms(program):
-    return frozenset().union(
-        *(expr_atoms(e) for rule in program.rules
-          for e in (rule.head, rule.body)))
+    return frozenset(
+        s.atom for s in subformulas([e for rule in program.rules
+                                     for e in (rule.head, rule.body)])
+        if isinstance(s, Var))
 
 
 def _check_atoms(out, alphabet):

@@ -4,7 +4,7 @@ from nlp2dlp import (
     BOT, And, GeneratorConfig, Not, Program, ProgramClass, Rule, TOP, Var,
     check_faithful, check_modular, check_strongly_faithful, classify,
     family_program, generate_program, growth_csv, measure_growth, parse,
-    translate, user_atom,
+    label_atom, translate, user_atom, verify,
 )
 from nlp2dlp.cli import main
 
@@ -27,6 +27,19 @@ def test_check_faithful_polarity_negative_control():
     assert verdict.witness == frozenset({pa, qa, ra})
     assert verdict.projected_translated_sets == frozenset(
         {frozenset({pa, qa}), frozenset({pa, qa, ra})})
+
+
+def test_verdict_flags_answer_sets_that_collapse_onto_one_projection():
+    a, b = user_atom("a"), user_atom("b")
+    l0, l1 = label_atom(0), label_atom(1)
+    inputs = frozenset({frozenset({a}), frozenset({b})})
+    # {a} has one translated answer set, {b} has two
+    outputs = frozenset({frozenset({a, l0}), frozenset({b, l0}),
+                         frozenset({b, l1})})
+    verdict = verify._verdict(inputs, outputs, frozenset({a, b}))
+    assert verdict.projected_translated_sets == inputs
+    assert not verdict.equal
+    assert verdict.witness == frozenset({b})
 
 
 def test_check_faithful_on_empty_program():
