@@ -7,19 +7,24 @@ and is intended as a desk-scale oracle, not a solver.
 Each call compiles the rules once into a flat plan: the distinct
 subformulas in post-order, as one ``syntax.subformulas`` walk over all
 the heads and bodies lists them, one slot each, so structurally equal
-subtrees share a slot and each step reads only earlier slots.  Every evaluator is a loop over that plan, so none
-recurses, and each is bit-parallel.  Interpretations are numbered by the
-bits of an index and evaluated in windows of at most 2^_WINDOW at a
-time: in a window the lowest _WINDOW atoms vary and every higher one is
-a constant, all-ones or 0.  Classical truth over a window is one integer
-per slot; HT truth is a pair of them, the truth at H and at T, with one
-bit per subset H of a there-world T.  A rule is folded into the window's
-model bitmap as soon as its head and body slots are ready.  So a call
-holds one 2^_WINDOW-bit integer per slot, two under HT: it grows with
-the number of distinct subformulas, not with the size of the alphabet,
-and the cap on the alphabet bounds its time only.  The HT loops visit only
-the there-worlds T whose <T, T> is an HT-model, found a window at a time
-by one pass of the HT engine over all the total pairs.
+subtrees share a slot and each step reads only earlier slots;
+``ht_equivalent`` compiles the rules of both its programs into one plan,
+in which each rule's fold names its program.  Every evaluator is a loop
+over that plan, so none recurses, and each is bit-parallel.
+Interpretations are numbered by the bits of an index and evaluated in
+windows of at most 2^_WINDOW at a time: in a window the lowest _WINDOW
+atoms vary and every higher one is a constant, all-ones or 0.  Classical
+truth over a window is one integer per slot; HT truth is a pair of them,
+the truth at H and at T, with one bit per subset H of a there-world T.
+A rule is folded into the window's model bitmap as soon as its head and
+body slots are ready.  So a call holds one 2^_WINDOW-bit integer per
+slot, two under HT: it grows with the number of distinct subformulas,
+not with the size of the alphabet, and the cap on the alphabet bounds
+its time only.  The HT loops visit only the there-worlds T whose <T, T>
+is an HT-model, found a window at a time by one pass of the HT engine
+over all the total pairs; ``ht_equivalent`` makes that pass and each
+window of each T once for both programs, with one model bitmap each,
+compared after the window's last fold.
 
 Answer sets come from the classical engine, equilibrium models from the
 HT engine alone, so each checks the other.  The stability check of a
@@ -70,34 +75,40 @@ _VAR, _TOP, _BOT, _NOT, _AND, _OR = range(6)
 
 
 class _Plan:
-    """Rules compiled for the evaluators.
+    """Rules compiled for the evaluators, those of one program or, when
+    ``paired``, of two.
 
     ``steps`` holds one ``(op, a, b, folds)`` per slot, in post-order:
     ``a`` is the index in ``atoms`` of a ``_VAR`` step's atom and the
     first child slot otherwise, ``b`` the second child slot; ``folds``
-    lists the (head, body) slot pairs of the rules ready at this step.
-    An evaluator keeps every slot's value to the end of its loop, one
-    window-sized integer per step, or two under HT: at 8 KB each, a plan
-    of a few hundred slots holds a few MB, and the loop does no
-    bookkeeping to release a slot sooner.  The evaluators take
-    the atoms' values as a table in the order of ``atoms``.
-    ``positive`` holds the atoms that occur outside every ``not``.
+    lists the (head, body, second) triples of the rules ready at this
+    step, ``second`` 1 for a rule of the second program and 0 otherwise;
+    a subformula the two programs share has one slot.  An evaluator
+    keeps every slot's value to the end of its loop, one window-sized
+    integer per step, or two under HT: at 8 KB each, a plan of a few
+    hundred slots holds a few MB, and the loop does no bookkeeping to
+    release a slot sooner.  The evaluators take the atoms' values as a
+    table in the order of ``atoms``.  ``positive`` holds the atoms that
+    occur outside every ``not``.
     """
 
-    __slots__ = ("steps", "atoms", "positive")
+    __slots__ = ("steps", "atoms", "positive", "paired")
 
     def __init__(self, steps: list[tuple], atoms: list[Atom],
-                 positive: frozenset[Atom]):
+                 positive: frozenset[Atom], paired: bool):
         self.steps = steps
         self.atoms = atoms
         self.positive = positive
+        self.paired = paired
 
 
-def _compile(rules: Sequence[Rule]) -> _Plan:
+def _compile(rules: Sequence[Rule], second: Sequence[Rule] | None = None
+             ) -> _Plan:
+    programs = (rules,) if second is None else (rules, second)
     slot_of: dict[Expr, int] = {}
     atom_index: dict[Atom, int] = {}
     ops: list[tuple[int, int, int]] = []
-    for e in subformulas([root for rule in rules
+    for e in subformulas([root for program in programs for rule in program
                           for root in (rule.head, rule.body)]):
         if isinstance(e, Var):
             index = atom_index.setdefault(e.atom, len(atom_index))
@@ -111,17 +122,19 @@ def _compile(rules: Sequence[Rule]) -> _Plan:
             op = (_TOP if isinstance(e, Top) else _BOT, 0, 0)
         slot_of[e] = len(ops)
         ops.append(op)
-    roots = [(slot_of[rule.head], slot_of[rule.body]) for rule in rules]
+    roots = [(slot_of[rule.head], slot_of[rule.body], in_second)
+             for in_second, program in enumerate(programs)
+             for rule in program]
 
     n = len(ops)
-    folds: list[list[tuple[int, int]]] = [[] for _ in range(n)]
-    for head, body in roots:
-        folds[max(head, body)].append((head, body))
+    folds: list[list[tuple[int, int, int]]] = [[] for _ in range(n)]
+    for head, body, in_second in roots:
+        folds[max(head, body)].append((head, body, in_second))
 
     # slots reached from a head or body through conjunction and
     # disjunction only; children precede their parents
     outside = [False] * n
-    for head, body in roots:
+    for head, body, _ in roots:
         outside[head] = outside[body] = True
     atoms = list(atom_index)
     positive = set()
@@ -134,7 +147,7 @@ def _compile(rules: Sequence[Rule]) -> _Plan:
                 outside[a] = outside[b] = True
 
     steps = [(op, a, b, tuple(folds[k])) for k, (op, a, b) in enumerate(ops)]
-    return _Plan(steps, atoms, frozenset(positive))
+    return _Plan(steps, atoms, frozenset(positive), second is not None)
 
 
 @lru_cache(maxsize=None)
@@ -255,7 +268,7 @@ def _models_bitmap(plan: _Plan, table: list[int], full: int,
             v = full if op == _TOP else 0
         vals.append(v)
         if folds:
-            for head, body in folds:
+            for head, body, _ in folds:
                 bm &= (full ^ vals[body]) | vals[head]
             if not bm and not storing:
                 return 0
@@ -331,13 +344,16 @@ def answer_sets(program: Program, alphabet: Iterable[Atom],
                      if _is_stable(plan, bits, i))
 
 
-def _ht_holds(plan: _Plan, table: list[tuple[int, int]], full: int) -> int:
-    """Bitmap of the pairs whose H world satisfies every B(r) -> H(r),
-    over a batch of HT pairs sharing one there-world; ``table`` holds
-    the (H, T) bits of the plan's atoms."""
+def _ht_holds(plan: _Plan, table: list[tuple[int, int]], full: int
+              ) -> tuple[int, int]:
+    """For the first program of the plan and the second, the bitmap of
+    the pairs whose H world satisfies every B(r) -> H(r) of its rules,
+    over a batch of HT pairs sharing one there-world; ``table`` holds the
+    (H, T) bits of the plan's atoms.  Without a second program the second
+    bitmap is 0, so the loop stops once the first one is."""
     hs: list[int] = []
     ts: list[int] = []
-    bm = full
+    bm, bm2 = full, full if plan.paired else 0
     for op, a, b, folds in plan.steps:
         if op == _VAR:
             h, t = table[a]
@@ -353,30 +369,36 @@ def _ht_holds(plan: _Plan, table: list[tuple[int, int]], full: int) -> int:
         hs.append(h)
         ts.append(t)
         if folds:
-            for head, body in folds:
+            for head, body, in_second in folds:
                 # clause for ->: true at H iff it holds at H and at T
-                bm &= ((full ^ hs[body]) | hs[head]) & \
+                clause = ((full ^ hs[body]) | hs[head]) & \
                     ((full ^ ts[body]) | ts[head])
-            if not bm:
-                return 0
-    return bm
+                if in_second:
+                    bm2 &= clause
+                else:
+                    bm &= clause
+            if not (bm or bm2):
+                return 0, 0
+    return bm, bm2
 
 
 def _total_models(plan: _Plan, bits: list[int], n: int
-                  ) -> Iterator[tuple[int, int]]:
-    """Per window of the 2^n there-worlds T: its base and the bitmap of
-    the T for which <T, T> is an HT-model, in one pass over the diagonal
-    pairs.  No other T has an HT-model: each rule's clause at T is the
-    same for every H, and false in some rule unless <T, T> holds."""
+                  ) -> Iterator[tuple[int, tuple[int, int]]]:
+    """Per window of the 2^n there-worlds T: its base and, per program,
+    the bitmap of the T for which <T, T> is an HT-model, in one pass over
+    the diagonal pairs.  No other T has an HT-model: each rule's clause
+    at T is the same for every H, and false in some rule unless <T, T>
+    holds."""
     for base, full, table in _windows(bits, (1 << n) - 1):
         yield base, _ht_holds(plan, [(v, v) for v in table], full)
 
 
 def _ht_blocks(plan: _Plan, bits: list[int], t: int
-               ) -> Iterator[tuple[int, int]]:
+               ) -> Iterator[tuple[int, tuple[int, int]]]:
     """For the there-world T picked by the bits of t, per window of its
-    subsets: the window's base and the bitmap of the HT-models <H, T> in
-    it, bit i for the H picked from T by the bits of base + i."""
+    subsets: the window's base and, per program, the bitmap of the
+    HT-models <H, T> in it, bit i for the H picked from T by the bits of
+    base + i."""
     for base, full, table in _windows(bits, t, ht=True):
         yield base, _ht_holds(plan, table, full)
 
@@ -387,10 +409,10 @@ def ht_models(program: Program, alphabet: Iterable[Atom],
     plan = _compile(program.rules)
     bits = _atom_bits(plan, atoms)
     models = set()
-    for base, totals in _total_models(plan, bits, len(atoms)):
+    for base, (totals, _) in _total_models(plan, bits, len(atoms)):
         for t in _iter_bits(totals, base):
             there = _picked(t, atoms)
-            for h_base, bm in _ht_blocks(plan, bits, t):
+            for h_base, (bm, _) in _ht_blocks(plan, bits, t):
                 models.update(
                     HTInterpretation(_index_to_interp(i, there), there)
                     for i in _iter_bits(bm, h_base))
@@ -399,22 +421,22 @@ def ht_models(program: Program, alphabet: Iterable[Atom],
 
 def ht_equivalent(p1: Program, p2: Program, alphabet: Iterable[Atom],
                   cap: int = DEFAULT_CAP) -> bool:
-    """Same HT-models over the alphabet; decides strong equivalence."""
+    """Same HT-models over the alphabet; decides strong equivalence.
+
+    Both programs are compiled into one plan, so each window is
+    evaluated once for the two of them."""
     atoms = frozenset(alphabet)
     if not (p1.var() | p2.var()) <= atoms:
         raise ValueError("alphabet must cover both programs")
     atom_list = _check_cap(atoms, cap)
-    plan1, plan2 = _compile(p1.rules), _compile(p2.rules)
-    bits1, bits2 = _atom_bits(plan1, atom_list), _atom_bits(plan2, atom_list)
-    n = len(atom_list)
+    plan = _compile(p1.rules, second=p2.rules)
+    bits = _atom_bits(plan, atom_list)
     # a T where <T, T> is a model of one program only tells them apart
-    for (base, totals1), (_, totals2) in zip(_total_models(plan1, bits1, n),
-                                             _total_models(plan2, bits2, n)):
+    for base, (totals1, totals2) in _total_models(plan, bits, len(atom_list)):
         if totals1 != totals2:
             return False
         for t in _iter_bits(totals1, base):
-            if any(bm1 != bm2 for (_, bm1), (_, bm2) in zip(
-                    _ht_blocks(plan1, bits1, t), _ht_blocks(plan2, bits2, t))):
+            if any(bm1 != bm2 for _, (bm1, bm2) in _ht_blocks(plan, bits, t)):
                 return False
     return True
 
@@ -426,13 +448,15 @@ def equilibrium_models(program: Program, alphabet: Iterable[Atom],
     plan = _compile(program.rules)
     bits = _atom_bits(plan, atoms)
     found = []
-    for base, totals in _total_models(plan, bits, len(atoms)):
+    for base, (totals, _) in _total_models(plan, bits, len(atoms)):
         for t in _iter_bits(totals, base):
             # <T, T> holds and is the top bit of T's first window; the
             # other windows are read only while T is still accepted, and
             # only until one holds a model
             (_, full, table), *rest = _windows(bits, t, ht=True)
-            if _ht_holds(plan, table, full) == (full + 1) >> 1 and not any(
-                    _ht_holds(plan, table, full) for _, full, table in rest):
+            holds, _ = _ht_holds(plan, table, full)
+            if holds == (full + 1) >> 1 and not any(
+                    _ht_holds(plan, table, full)[0]
+                    for _, full, table in rest):
                 found.append(t)
     return frozenset(_index_to_interp(t, atoms) for t in found)

@@ -7,7 +7,7 @@ from nlp2dlp import (
     BOT, TOP, And, GeneratorConfig, HTInterpretation, Not, Or, Program,
     ResourceLimitError, Rule, Var, answer_sets, classical_models,
     equilibrium_models, format_expr, generate_program, ht_equivalent,
-    ht_models, parse, semantics, subformulas,
+    ht_models, parse, semantics, subformulas, tr1,
     translate_structural, user_atom,
 )
 
@@ -161,6 +161,9 @@ def test_ht_equivalent_examples():
     assert ht_equivalent(parse("p."), parse("p. p :- p."), {pa})
     assert ht_equivalent(parse(":- p."), parse(":- p. :- p, q."), {pa, qa})
     assert not ht_equivalent(parse("p :- not not p."), Program(), {pa})
+    # one program object on both sides is two programs of one plan
+    same = parse("p :- not not p. :- q.")
+    assert ht_equivalent(same, same, {pa, qa})
     with pytest.raises(ValueError):
         ht_equivalent(parse("p."), Program(), frozenset())
 
@@ -460,15 +463,68 @@ def test_equilibrium_models_visit_only_total_models(window, limit,
     assert calls[0] <= limit
 
 
-@pytest.mark.parametrize("window, limit", [(16, 2), (2, 128)])
-def test_ht_equivalent_differs_on_total_models(window, limit, monkeypatch):
+@pytest.mark.parametrize("window", [16, 2])
+def test_ht_equivalent_differs_on_total_models(window, monkeypatch):
     """The constraint rules out <T, T> for T the whole alphabet only, so
-    the diagonal passes alone tell the programs apart."""
+    the first window of the one diagonal pass, which holds that T, tells
+    the programs apart."""
     constraint = parse(":- a1, a2, a3, a4, a5, a6, a7, a8.")
     monkeypatch.setattr(semantics, "_WINDOW", window)
     calls = _count_ht_holds(monkeypatch)
     assert not ht_equivalent(constraint, Program(()), EIGHT)
-    assert calls[0] <= limit
+    assert calls[0] == 1
+
+
+@pytest.mark.parametrize("window, windows", [(16, 2), (2, 128)])
+def test_ht_equivalent_evaluates_each_window_once(window, windows,
+                                                  monkeypatch):
+    """Both programs are compiled into one plan, so each window is one
+    ``_ht_holds`` call for the two of them: the diagonal pass over the
+    256 there-worlds, then the windows of the one T with a total model,
+    the whole alphabet (1 + 1 windows of 16 atoms, 64 + 64 of 2)."""
+    facts = parse("a1. a2. a3. a4. a5. a6. a7. a8.")
+    reversed_facts = Program(facts.rules[::-1])
+    monkeypatch.setattr(semantics, "_WINDOW", window)
+    calls = _count_ht_holds(monkeypatch)
+    assert ht_equivalent(facts, reversed_facts, EIGHT)
+    assert calls[0] == windows
+
+
+def _equivalent_pairs(corpus):
+    """Pairs whose rules fold at different steps of their one plan: each
+    program with its tr1 translation and with its rules reversed, which
+    have its HT-models, and two pairs that differ only in the rule
+    folded last, x :- not not x against x v not x (the same HT-models)
+    and against x :- x (which no longer rules out <{}, {x}>)."""
+    pairs = []
+    for program in corpus:
+        reversed_rules = Program(program.rules[::-1], program.alphabet)
+        pairs.append((program, tr1(program)))
+        pairs.append((program, reversed_rules))
+    base = "a. b :- not c. c :- not b. d v e. x :- not not x."
+    for last in ("x v not x.", "x :- x."):
+        pairs.append((parse(base), parse(base.replace("x :- not not x.",
+                                                       last))))
+    return pairs
+
+
+def test_equivalent_pairs_across_windows_match_naive_oracle(corpus,
+                                                            monkeypatch):
+    """Each program's bitmap is compared with the other's only after the
+    last fold of the plan, in every window: a comparison made while one
+    program's rules are still folding would tell an equivalent pair
+    apart."""
+    cases = []
+    for p1, p2 in _equivalent_pairs(corpus):
+        alphabet = p1.var() | p2.var() | p1.alphabet
+        same = naive_ht_models(p1, alphabet) == naive_ht_models(p2, alphabet)
+        cases.append((p1, p2, alphabet, same))
+    assert sum(same for *_, same in cases) == len(cases) - 1
+    for window in (16, 2):
+        monkeypatch.setattr(semantics, "_WINDOW", window)
+        for p1, p2, alphabet, same in cases:
+            assert ht_equivalent(p1, p2, alphabet) == same, \
+                (window, p1.rules, p2.rules)
 
 
 def test_ht_equivalent_compares_blocks_of_shared_total_models():

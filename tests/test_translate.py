@@ -88,11 +88,16 @@ def test_tr1_examples():
 
 
 def test_tr1_passes_nnf_rules_through():
-    program = parse("p v not q :- r, not not s. p :- not (q v r). :- q.")
+    # the last rule is NNF but not GDLP-HT, a disjunction under a
+    # conjunction: the highest rank tr1 passes on unchanged
+    program = parse("p v not q :- r, not not s. p :- not (q v r). :- q. "
+                    "p :- (q v r), s.")
     out = tr1(program)
     assert out.rules[0] is program.rules[0]
     assert out.rules[2] is program.rules[2]
     assert out.rules[1] == Rule(p, And(Not(q), Not(r)))
+    assert classify(Program(program.rules[3:])) is ProgramClass.NNF
+    assert out.rules[3] is program.rules[3]
 
 
 def test_tr2_golden_single_negated_body():
@@ -257,6 +262,24 @@ def test_tr4_examples():
     assert len(twice.rules) == 4  # bar rules appended once
 
 
+def test_tr4_rejects_gdlp_ht_input():
+    with pytest.raises(StageInputError, match=re.escape(
+            "tr4 expects a program in class generalized_disjunctive; "
+            "rule 1: p :- not not q.")):
+        tr4(parse("q. p :- not not q."), AtomTable())
+
+
+def test_pipeline_rejects_output_that_is_not_disjunctive(monkeypatch):
+    """A tr4 that passes its input on leaves the negated head atom in
+    the output, and the pipeline's own check names the rule that tr2
+    made of it."""
+    monkeypatch.setattr(translate, "tr4", lambda program, table: program)
+    with pytest.raises(StageInputError, match=re.escape(
+            "pipeline output expects a program in class disjunctive; "
+            "rule 2: not q :- l_0.")):
+        translate_structural(parse("not q :- r."))
+
+
 def test_structural_end_to_end_closing_example():
     program = parse("p. q. r v (p, q).")
     translated, report = translate_structural(program)
@@ -339,6 +362,19 @@ def test_report_counts_are_consistent(corpus):
         assert report.output_size == program_size(translated)
         assert report.rules_out == len(translated.rules)
         assert report.bars_created >= 0 and report.labels_created >= 0
+
+
+def test_report_counts_only_the_labels_and_bars_it_adds():
+    """Over a table that already holds n_q and the labels of not q and r,
+    the second translation reuses them and counts only the label of p,
+    the label of not r and the bar n_r."""
+    table = AtomTable()
+    _, first = _structural_pipeline(parse("not q :- r."), table)
+    assert (first.labels_created, first.bars_created) == (2, 1)
+    _, second = _structural_pipeline(parse("not q :- p. not r :- p."), table)
+    assert (second.labels_created, second.bars_created) == (2, 1)
+    assert list(table.bars) == [qa, ra]
+    assert len(table.labels) == 4
 
 
 def _walked_atoms(program):

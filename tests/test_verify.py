@@ -1,10 +1,11 @@
 import pytest
 
 from nlp2dlp import (
-    BOT, And, GeneratorConfig, Not, Program, ProgramClass, Rule, TOP, Var,
+    BOT, And, GeneratorConfig, Not, Or, Program, ProgramClass, Rule, TOP, Var,
     check_faithful, check_modular, check_strongly_faithful, classify,
     family_program, generate_program, growth_csv, measure_growth, parse,
-    label_atom, translate, user_atom, verify,
+    label_atom, translate, translate_mode, translate_structural, user_atom,
+    verify,
 )
 from nlp2dlp.cli import main
 
@@ -56,6 +57,16 @@ def test_check_faithful_distributive(corpus):
 def test_check_faithful_rejects_unknown_mode():
     with pytest.raises(ValueError):
         check_faithful(Program(), mode="magic")
+
+
+def test_translate_mode_leaves_simplify_off_by_default():
+    """With ``true`` in the program, simplify drops the rules of its
+    label, so only the unsimplified translation equals the default."""
+    program = parse("p :- true. q v not r :- p, true.")
+    assert translate_mode(program, "structural") == \
+        translate_structural(program)
+    assert translate_mode(program, "structural") != \
+        translate_structural(program, simplify=True)
 
 
 def test_check_strongly_faithful_examples():
@@ -131,6 +142,8 @@ def test_family_program_shapes():
     assert len(dnf.rules) == 1 and dnf.rules[0].body == TOP
     cnf = family_program("cnf_body", 2)
     assert cnf.rules[0].head == Var(user_atom("p"))
+    a1, b1, a2, b2 = (Var(user_atom(n)) for n in ("a1", "b1", "a2", "b2"))
+    assert cnf.rules[0].body == And(Or(a1, b1), Or(a2, b2))
     with pytest.raises(ValueError):
         family_program("nope", 2)
     with pytest.raises(ValueError):
