@@ -2,8 +2,7 @@
 programs, with a brute-force answer-set and HT-model oracle."""
 
 from .errors import (
-    Nlp2DlpError, NotDisjunctiveError, ParseError, ResourceLimitError,
-    StageInputError,
+    Nlp2DlpError, ParseError, ResourceLimitError, StageInputError,
 )
 from .semantics import (
     DEFAULT_CAP, HTInterpretation, Interpretation, answer_sets,

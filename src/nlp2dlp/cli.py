@@ -17,16 +17,15 @@ import dataclasses
 import sys
 import traceback
 
-from .errors import (
-    NotDisjunctiveError, ParseError, ResourceLimitError, StageInputError,
-)
+from .errors import ParseError, ResourceLimitError, StageInputError
 from .semantics import DEFAULT_CAP, Interpretation, answer_sets, equilibrium_models
 from .syntax import Atom, Program
-from .textio import _error, parse, parse_atom, print_dlv, print_nested
+from .textio import _error, parse, print_dlv, print_nested
+from .translate import DEFAULT_GUARD
 from .verify import (
     DEFAULT_VERIFY_CAP, GROWTH_FAMILIES, MODES, GeneratorConfig,
-    check_faithful, check_modular, check_strongly_faithful, generate_program,
-    growth_csv, measure_growth, translate_mode,
+    _interp_key, check_faithful, check_modular, check_strongly_faithful,
+    generate_program, growth_csv, measure_growth, translate_mode,
 )
 
 
@@ -100,16 +99,11 @@ def _write_text(path: str | None, text: str) -> None:
 
 def _parse_atom_list(spec: str) -> frozenset[Atom]:
     names = (name.strip() for name in spec.split(","))
-    return frozenset(parse_atom(name, allow_internal=True)
-                     for name in names if name)
+    return frozenset(Atom(name) for name in names if name)
 
 
 def _format_interp(interp: Interpretation) -> str:
-    return "{" + ", ".join(sorted(a.name for a in interp)) + "}"
-
-
-def _sorted_interps(interps) -> list[Interpretation]:
-    return sorted(interps, key=lambda i: tuple(sorted(a.name for a in i)))
+    return "{" + ", ".join(_interp_key(interp)) + "}"
 
 
 def _cmd_translate(args: argparse.Namespace) -> int:
@@ -133,7 +127,7 @@ def _cmd_solve(args: argparse.Namespace) -> int:
     if not sets:
         print("0 answer sets")
         return 0
-    for interp in _sorted_interps(sets):
+    for interp in sorted(sets, key=_interp_key):
         print(_format_interp(interp))
     return 0
 
@@ -182,7 +176,7 @@ def _cmd_check(args: argparse.Namespace) -> int:
     ok = stable == equilibria
     print(f"answer sets match equilibrium models: {'yes' if ok else 'no'}")
     if not ok:
-        for interp in _sorted_interps(stable ^ equilibria):
+        for interp in sorted(stable ^ equilibria, key=_interp_key):
             print(f"witness: {_format_interp(interp)}")
     return 0 if ok else 1
 
@@ -247,7 +241,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_stats.add_argument("--family", choices=GROWTH_FAMILIES,
                          required=True)
     p_stats.add_argument("--n-max", type=_POSITIVE, required=True)
-    p_stats.add_argument("--guard", type=_NON_NEGATIVE, default=1_000_000)
+    p_stats.add_argument("--guard", type=_NON_NEGATIVE, default=DEFAULT_GUARD)
     p_stats.add_argument("-o", "--output", default=None)
     p_stats.set_defaults(func=_cmd_stats)
 
@@ -278,7 +272,7 @@ def main(argv: list[str] | None = None) -> int:
     except ResourceLimitError as exc:
         print(f"resource error: {exc}", file=sys.stderr)
         return 3
-    except (NotDisjunctiveError, StageInputError, ValueError, OSError) as exc:
+    except (StageInputError, ValueError, OSError) as exc:
         # an OSError here can only come from reading the input or
         # writing the output
         print(f"error: {exc}", file=sys.stderr)

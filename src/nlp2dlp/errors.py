@@ -24,8 +24,5 @@ class ResourceLimitError(Nlp2DlpError):
 
 
 class StageInputError(Nlp2DlpError):
-    """A translation stage received a program outside its input class."""
-
-
-class NotDisjunctiveError(Nlp2DlpError):
-    """A program cannot be printed in disjunctive (DLV) syntax."""
+    """A translation stage, or ``print_dlv``, received a program outside
+    its input class."""

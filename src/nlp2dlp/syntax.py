@@ -42,10 +42,12 @@ class AtomKind(Enum):
 class Atom:
     """An atom of the alphabet, interned: there is one instance per name.
 
-    The name fixes the kind, so equality and hashing are the inherited
-    identity defaults.  A name is checked once, when its instance is
-    first made; ``Atom(name, kind)`` raises ``ValueError`` for a name
-    that is not valid for ``kind``.  Instances are immutable.
+    The name fixes the kind: ``l_<index>`` is a label, ``n_`` before a
+    user name is a bar atom, and any other valid name is a user atom.
+    Equality and hashing are therefore the inherited identity defaults.
+    A name is checked once, when its instance is first made;
+    ``Atom(name)`` raises ``ValueError`` for a name that is no valid atom
+    of any kind.  Instances are immutable.
 
     ``var`` is the atom's one ``Var`` node, made with the instance, so
     the parser and the stages that emit an atom share one leaf for it
@@ -57,12 +59,11 @@ class Atom:
     kind: AtomKind
     var: "Var"
 
-    def __new__(cls, name: str, kind: AtomKind = AtomKind.USER) -> "Atom":
+    def __new__(cls, name: str) -> "Atom":
         atom = _ATOMS.get(name)
-        if atom is not None and atom.kind is kind:
+        if atom is not None:
             return atom
-        # a name held under another kind is invalid for this one
-        _check_name(name, kind)
+        kind = _kind_of(name)
         atom = object.__new__(cls)
         object.__setattr__(atom, "name", name)
         object.__setattr__(atom, "kind", kind)
@@ -78,7 +79,7 @@ class Atom:
 
     def __reduce__(self):
         # copies and unpickled atoms are the interned instance
-        return Atom, (self.name, self.kind)
+        return Atom, (self.name,)
 
     def __lt__(self, other: "Atom") -> bool:
         return self.name < other.name
@@ -91,39 +92,41 @@ class Atom:
 
 
 _ATOMS: dict[str, Atom] = {}
+_RESERVED = (LABEL_PREFIX, BAR_PREFIX)
 
 
-def _check_name(name: str, kind: AtomKind) -> None:
-    if kind is AtomKind.USER:
-        if not _USER_NAME.match(name):
-            raise ValueError(f"invalid atom name {name!r}")
-        if name.startswith((LABEL_PREFIX, BAR_PREFIX)):
-            raise ValueError(f"user atom {name!r} uses a reserved prefix")
-    elif kind is AtomKind.LABEL:
+def _kind_of(name: str) -> AtomKind:
+    """The kind that the prefix of ``name`` gives it; ``ValueError`` if
+    the name is not valid for that kind."""
+    if name.startswith(LABEL_PREFIX):
         if not _LABEL_NAME.match(name):
             raise ValueError(f"invalid label atom name {name!r}")
-    else:
+        return AtomKind.LABEL
+    if name.startswith(BAR_PREFIX):
         base = name[len(BAR_PREFIX):]
-        if not name.startswith(BAR_PREFIX) or not _USER_NAME.match(base) \
-                or base.startswith((LABEL_PREFIX, BAR_PREFIX)):
+        if not _USER_NAME.match(base) or base.startswith(_RESERVED):
             raise ValueError(f"invalid bar atom name {name!r}")
+        return AtomKind.BAR
+    if not _USER_NAME.match(name):
+        raise ValueError(f"invalid atom name {name!r}")
+    return AtomKind.USER
 
 
 def user_atom(name: str) -> Atom:
-    return Atom(name, AtomKind.USER)
+    if name.startswith(_RESERVED):
+        raise ValueError(f"atom {name!r} uses a reserved prefix")
+    return Atom(name)
 
 
 def label_atom(index: int) -> Atom:
-    # an interned ``l_`` name is a label: no kind to compare
     name = f"{LABEL_PREFIX}{index}"
-    return _ATOMS.get(name) or Atom(name, AtomKind.LABEL)
+    return _ATOMS.get(name) or Atom(name)
 
 
 def bar_atom(atom: Atom) -> Atom:
-    if atom.kind is not AtomKind.USER:
-        raise ValueError(f"cannot form a bar atom over {atom.name!r}")
+    # over a label or a bar atom, the name fails the bar-name rule
     name = BAR_PREFIX + atom.name
-    return _ATOMS.get(name) or Atom(name, AtomKind.BAR)
+    return _ATOMS.get(name) or Atom(name)
 
 
 class ProgramClass(Enum):

@@ -24,10 +24,10 @@ from __future__ import annotations
 
 import re
 
-from .errors import NotDisjunctiveError, ParseError
+from .errors import ParseError, StageInputError
 from .syntax import (
-    BAR_PREFIX, BOT, LABEL_PREFIX, TOP, And, Atom, AtomKind, Bot, Expr, Not,
-    Or, Program, ProgramClass, Rule, Top, Var, _first_out_of_class, _leaves,
+    BOT, TOP, And, Atom, Bot, Expr, Not, Or, Program, ProgramClass, Rule, Top,
+    Var, _first_out_of_class, _leaves, user_atom,
 )
 
 # whitespace and comments, then a lexeme: a token, a character that
@@ -95,6 +95,7 @@ def parse(text: str, origin: str = "<string>",
     identifier, and fails as an atom name wherever it is read.
     """
     lexemes, kinds = _tokenize(text)
+    make_atom = Atom if allow_internal else user_atom
     # the atoms' nodes by name, so each name is checked once per text
     names: dict[str, Var] = {}
     rules: list[Rule] = []
@@ -125,8 +126,7 @@ def parse(text: str, origin: str = "<string>",
                     expr = names.get(lexemes[i - 1])
                     if expr is None:
                         try:
-                            expr = parse_atom(lexemes[i - 1],
-                                              allow_internal).var
+                            expr = make_atom(lexemes[i - 1]).var
                         except ValueError as exc:
                             raise _fail(str(exc), text, origin,
                                         i - 1) from None
@@ -195,21 +195,6 @@ def parse(text: str, origin: str = "<string>",
         rules.append(Rule(head, body))
 
 
-def parse_atom(name: str, allow_internal: bool = False) -> Atom:
-    """The atom spelled ``name``, its kind read off its prefix.
-
-    Label (``l_``) and bar (``n_``) names are admitted only with
-    ``allow_internal``; a name that is not a valid atom raises
-    ``ValueError``.
-    """
-    if name.startswith((LABEL_PREFIX, BAR_PREFIX)):
-        if not allow_internal:
-            raise ValueError(f"atom {name!r} uses a reserved prefix")
-        kind = AtomKind.LABEL if name.startswith(LABEL_PREFIX) else AtomKind.BAR
-        return Atom(name, kind)
-    return Atom(name, AtomKind.USER)
-
-
 _PREC_OR, _PREC_AND, _PREC_NOT = 1, 2, 3
 
 
@@ -257,6 +242,15 @@ def format_rule(rule: Rule) -> str:
     return format_expr(rule.head) + " :- " + format_expr(rule.body) + "."
 
 
+def _require(program: Program, cls: ProgramClass, stage: str) -> None:
+    """Raise ``StageInputError`` at the first rule outside ``cls``."""
+    index = _first_out_of_class(program.rules, cls)
+    if index is not None:
+        raise StageInputError(
+            f"{stage} expects a program in class {cls.name.lower()}; "
+            f"rule {index}: {format_rule(program.rules[index])}")
+
+
 def print_nested(program: Program) -> str:
     """Nested syntax, one rule per line; empty program prints nothing."""
     return "".join(format_rule(r) + "\n" for r in program.rules)
@@ -302,12 +296,9 @@ def _format_dlv_rule(rule: Rule) -> str:
 def print_dlv(program: Program) -> str:
     """DLV-compatible disjunctive syntax, one rule per line.
 
-    The program must classify as disjunctive (or basic); otherwise the
-    first offending rule is reported.
+    The program must classify as disjunctive (or basic); otherwise a
+    ``StageInputError`` names the first rule outside that class.
     """
-    bad = _first_out_of_class(program.rules, ProgramClass.DISJUNCTIVE)
-    if bad is not None:
-        raise NotDisjunctiveError(
-            f"not in disjunctive form: {format_rule(program.rules[bad])}")
+    _require(program, ProgramClass.DISJUNCTIVE, "print_dlv")
     return "".join([line + "\n"
                     for line in map(_format_dlv_rule, program.rules)])

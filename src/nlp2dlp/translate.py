@@ -23,14 +23,13 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable
 
-from .errors import ResourceLimitError, StageInputError
+from .errors import ResourceLimitError
 from .syntax import (
     BOT, TOP, And, Atom, Bot, Expr, Not, Or, Program, ProgramClass, Rule,
     Top, Var, bar_atom, conjuncts, disjunction, disjuncts, conjunction,
     is_ht_literal, is_ht_nnf, label_atom, program_size, subformulas,
-    _first_out_of_class,
 )
-from .textio import format_rule
+from .textio import _require
 
 
 @dataclass
@@ -126,15 +125,6 @@ def tr1(program: Program) -> Program:
               for r in program.rules),
         program.alphabet, program.var(),
     )
-
-
-def _require(program: Program, cls: ProgramClass, stage: str) -> None:
-    """Raise ``StageInputError`` at the first rule outside ``cls``."""
-    index = _first_out_of_class(program.rules, cls)
-    if index is not None:
-        raise StageInputError(
-            f"{stage} expects a program in class {cls.name.lower()}; "
-            f"rule {index}: {format_rule(program.rules[index])}")
 
 
 # occurrence positions, as bits
@@ -365,6 +355,10 @@ def translate_polarity_variant(program: Program, simplify: bool = False
                                 simplify=simplify)
 
 
+# the node budget of the distributive expansion, unless one is given
+DEFAULT_GUARD = 1_000_000
+
+
 class _NodeBudget:
     def __init__(self, limit: int):
         self.limit = limit
@@ -403,7 +397,7 @@ def _normal_form(expr: Expr, outer: type[Expr],
     return done.pop()
 
 
-def translate_distributive(program: Program, max_nodes: int = 1_000_000
+def translate_distributive(program: Program, max_nodes: int = DEFAULT_GUARD
                            ) -> tuple[Program, TranslationReport]:
     """Exponential label-free translation via distributivity.
 

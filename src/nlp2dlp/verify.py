@@ -22,7 +22,7 @@ from .syntax import (
     disjunction, user_atom,
 )
 from .translate import (
-    AtomTable, TranslationReport, _structural_pipeline,
+    DEFAULT_GUARD, AtomTable, TranslationReport, _structural_pipeline,
     translate_distributive, translate_polarity_variant, translate_structural,
 )
 
@@ -165,7 +165,7 @@ class GrowthRow:
 
 
 def measure_growth(family: str, n_values: Iterable[int],
-                   guard: int = 1_000_000) -> list[GrowthRow]:
+                   guard: int = DEFAULT_GUARD) -> list[GrowthRow]:
     rows = []
     for n in n_values:
         prog = family_program(family, n)

@@ -99,6 +99,11 @@ def test_solve_alphabet_extension(capsys, monkeypatch):
                              capsys, monkeypatch)
     assert code == 0
     assert out == "{p}\n"
+    # a bar over a label is no atom of any kind
+    code, _, err = call_main(["solve", "--alphabet", "n_l_0"], "p.",
+                             capsys, monkeypatch)
+    assert code == 2
+    assert err == "error: invalid bar atom name 'n_l_0'\n"
 
 
 def test_check_faithful_structural_ok(capsys, monkeypatch):

@@ -13,7 +13,7 @@ from nlp2dlp import (
     user_atom,
 )
 from nlp2dlp.syntax import _first_out_of_class, _rule_rank
-from nlp2dlp.textio import parse, parse_atom
+from nlp2dlp.textio import parse
 
 p, q, r = Var(user_atom("p")), Var(user_atom("q")), Var(user_atom("r"))
 
@@ -22,33 +22,33 @@ def test_atom_kinds_and_validation():
     assert user_atom("p").kind is AtomKind.USER
     assert label_atom(3).name == "l_3"
     assert bar_atom(user_atom("p")).name == "n_p"
-    with pytest.raises(ValueError):
-        user_atom("l_0")
-    with pytest.raises(ValueError):
-        user_atom("n_p")
+    # the name fixes the kind
+    assert Atom("p").kind is AtomKind.USER
+    assert Atom("l_3").kind is AtomKind.LABEL
+    assert Atom("n_p").kind is AtomKind.BAR
+    for name in ("l_0", "n_p", "l_x"):
+        with pytest.raises(ValueError, match="uses a reserved prefix"):
+            user_atom(name)
     with pytest.raises(ValueError):
         user_atom("Pascal")
-    with pytest.raises(ValueError):
-        Atom("l_x", AtomKind.LABEL)
-    with pytest.raises(ValueError):
+    for name in ("l_x", "l_01", "n_l_0", "n_n_p", "n_Pascal", "Pascal", "_p"):
+        with pytest.raises(ValueError):
+            Atom(name)
+    # a bar over a label or over a bar atom fails the bar-name rule
+    with pytest.raises(ValueError, match="invalid bar atom name 'n_l_0'"):
         bar_atom(label_atom(0))
-    with pytest.raises(ValueError):
-        Atom("p", AtomKind.LABEL)
-    with pytest.raises(ValueError):
-        Atom("l_3", AtomKind.BAR)
+    with pytest.raises(ValueError, match="invalid bar atom name 'n_n_p'"):
+        bar_atom(bar_atom(user_atom("p")))
     with pytest.raises(ValueError):
         label_atom(-1)
     # one instance per name, however it was made
     assert label_atom(3) is label_atom(3)
-    assert parse_atom("l_3", True) is label_atom(3)
-    assert bar_atom(user_atom("p")) is parse_atom("n_p", True)
-    assert Atom("p") is user_atom("p") is copy.deepcopy(user_atom("p"))
-    assert pickle.loads(pickle.dumps(label_atom(3))) is label_atom(3)
-    # a name held under one kind is refused under another
-    with pytest.raises(ValueError):
-        Atom("l_3", AtomKind.USER)
-    with pytest.raises(ValueError):
-        Atom("n_p", AtomKind.LABEL)
+    assert Atom("l_3") is label_atom(3)
+    assert Atom("n_p") is bar_atom(user_atom("p"))
+    assert Atom("p") is user_atom("p")
+    for atom in (user_atom("p"), label_atom(3), bar_atom(user_atom("p"))):
+        assert copy.deepcopy(atom) is atom
+        assert pickle.loads(pickle.dumps(atom)) is atom
     atom = user_atom("p")
     with pytest.raises(AttributeError):
         atom.name = "q"
@@ -63,7 +63,7 @@ def test_atom_kinds_and_validation():
 
 def test_atom_carries_its_one_var():
     for atom in (user_atom("p"), label_atom(7), bar_atom(user_atom("q")),
-                 parse_atom("l_8", True)):
+                 Atom("l_8")):
         assert isinstance(atom.var, Var) and atom.var.atom is atom
         assert Var(atom) == atom.var
         assert copy.deepcopy(atom).var is atom.var

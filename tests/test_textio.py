@@ -4,8 +4,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from nlp2dlp import (
-    BOT, TOP, And, GeneratorConfig, Not, NotDisjunctiveError, Or, ParseError,
-    Program, Rule, Var, bar_atom, classify, format_expr, generate_program,
+    BOT, TOP, And, GeneratorConfig, Not, Or, ParseError, Program, Rule,
+    StageInputError, Var, bar_atom, classify, format_expr, generate_program,
     parse, print_dlv, print_nested, translate_mode, user_atom,
 )
 
@@ -149,7 +149,8 @@ def test_print_dlv_examples():
 
 def test_print_dlv_rejects_nested_programs():
     nested = Program((Rule(Or(r, And(p, q)), TOP),))
-    with pytest.raises(NotDisjunctiveError, match="not in disjunctive form"):
+    with pytest.raises(StageInputError, match="print_dlv expects a program "
+                       "in class disjunctive; rule 0"):
         print_dlv(nested)
 
 

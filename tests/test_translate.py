@@ -1,4 +1,8 @@
+import math
 import re
+import statistics
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -6,8 +10,9 @@ from hypothesis import given, settings, strategies as st
 from nlp2dlp import (
     BOT, TOP, And, AtomTable, GeneratorConfig, Not, Or, Program, ProgramClass,
     ResourceLimitError, Rule, StageInputError, Var, answer_sets, bar_atom,
-    classify, generate_program, ht_equivalent, label_atom, normalize_nnf,
-    parse, print_nested, program_size, tr1, tr2, tr3, tr4,
+    classify, family_program, generate_program, ht_equivalent, label_atom,
+    normalize_nnf, parse, print_dlv, print_nested, program_size, tr1, tr2,
+    tr3, tr4,
     translate_distributive, translate_polarity_variant, translate_structural,
     user_atom,
 )
@@ -430,3 +435,80 @@ def test_translation_walks_no_rules_for_atoms(monkeypatch):
     # the counter sees a walk where one is made
     Program(program.rules)
     assert calls == [1]
+
+
+# texts of size about n for the linear-time gate, each with the stages
+# it stresses; every family also runs parse and print_dlv on its text
+LINEAR_FAMILIES = {
+    # one long body of mixed literals: tr1, tr2 and the parser's loop
+    "long_body": lambda n: "h :- " + ", ".join(
+        (f"not not a{i}", f"(a{i} v not b{i})", f"not a{i}")[i % 3]
+        for i in range(n)) + ".\n",
+    # one wide disjunctive head, one wide conjunctive body: tr2's labels
+    # and, after it, tr3 and tr4 over n short rules
+    "dnf_head": lambda n: print_nested(family_program("dnf_head", n)),
+    "cnf_body": lambda n: print_nested(family_program("cnf_body", n)),
+    # one deep chain: tr1's triple-negation rewrite and the parser's
+    # operator stack
+    "stacked_not": lambda n: "p :- " + "not " * n + "q.\n",
+    # one deep nesting: the parser's groups and tr2's walk
+    "nested_parens": lambda n: "p :- " + "".join(
+        f"(not a{i} {'v' if i % 2 else ','} " for i in range(n))
+    + "q" + ")" * n + ".\n",
+    # n short rules: the per-rule cost of every stage and of the printer
+    "short_rules": lambda n: "".join(
+        f"a{i} :- not b{i}, (c{i} v not not d{i}).\n" for i in range(n)),
+}
+LINEAR_SIZES = (16, 32, 64, 128, 256)
+
+
+def _compile_text(text):
+    print_dlv(translate_structural(parse(text))[0])
+
+
+def _opcodes_run(text):
+    """Bytecode instructions run inside the package to compile ``text``.
+
+    C-level work, such as a list concatenation or a tuple search, is
+    not counted; the bench's scaling exponent covers it end to end."""
+    package = str(Path(translate.__file__).parent)
+    count = 0
+
+    def local(frame, event, arg):
+        nonlocal count
+        if event == "opcode":
+            count += 1
+        return local
+
+    def enter(frame, event, arg):
+        if not frame.f_code.co_filename.startswith(package):
+            return None
+        frame.f_trace_opcodes = True
+        return local
+
+    previous = sys.gettrace()
+    sys.settrace(enter)
+    try:
+        _compile_text(text)
+    finally:
+        sys.settrace(previous)
+    return count
+
+
+@pytest.mark.parametrize("family", sorted(LINEAR_FAMILIES))
+def test_compile_runs_in_linear_opcode_count(family):
+    """parse, translate_structural and print_dlv run a number of
+    bytecode instructions linear in the input: the log-log slope of the
+    count over n is at most 1.1.  The gate is on the slope only, as the
+    counts themselves differ between Python versions.  Fixed costs that
+    dominate at small n keep some slopes well under 1."""
+    make = LINEAR_FAMILIES[family]
+    # the atoms of every size interned first, so that no run pays for
+    # names that another made before it
+    _compile_text(make(LINEAR_SIZES[-1]))
+    xs = [math.log(n) for n in LINEAR_SIZES]
+    ys = [math.log(_opcodes_run(make(n))) for n in LINEAR_SIZES]
+    x_mean, y_mean = statistics.fmean(xs), statistics.fmean(ys)
+    slope = sum((x - x_mean) * (y - y_mean) for x, y in zip(xs, ys)) \
+        / sum((x - x_mean) ** 2 for x in xs)
+    assert slope <= 1.1, (family, round(slope, 3))

@@ -8,6 +8,7 @@ from nlp2dlp import (
     verify,
 )
 from nlp2dlp.cli import main
+import small_scope
 
 _TR2, _TR4 = translate.tr2, translate.tr4
 
@@ -52,6 +53,17 @@ def test_check_faithful_on_empty_program():
 def test_check_faithful_distributive(corpus):
     for program in corpus[:25]:
         assert check_faithful(program, mode="distributive").equal
+
+
+def test_every_program_of_five_nodes_translates_faithfully():
+    """Bounded-exhaustive: all 1,440 one-rule programs over a and b whose
+    head and body have at most 5 nodes together.  The polarity variant
+    is the negative control, so it must fail on some of them."""
+    count, found = small_scope.unfaithful(5)
+    assert count == 1440
+    assert found["structural"] == found["distributive"] == []
+    assert found["polarity"]
+    assert parse("a v true :- not b.") in found["polarity"]
 
 
 def test_check_faithful_rejects_unknown_mode():
