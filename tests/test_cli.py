@@ -1,3 +1,4 @@
+import contextlib
 import io
 import shlex
 import subprocess
@@ -5,9 +6,11 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
+from nlp2dlp import GeneratorConfig, generate_program, print_nested
 from nlp2dlp.cli import build_parser, main
-from nlp2dlp.verify import DEFAULT_VERIFY_CAP
+from nlp2dlp.verify import DEFAULT_VERIFY_CAP, GROWTH_FAMILIES, MODES
 
 CLOSING = "p. q. r v (p, q).\n"
 DEEP_INPUTS = {
@@ -378,3 +381,81 @@ def test_invalid_utf8_in_input_file_exits_2(tmp_path, capsys, monkeypatch):
                                capsys, monkeypatch)
     assert code == 2 and out == ""
     assert err == f"error: {source}:3:5: invalid UTF-8 byte 0xff\n"
+
+
+# tokens of the surface syntax, names the parser or an atom list refuses,
+# and a byte that is no UTF-8
+SOUP = [b"p", b"q", b"a1", b"not", b"v", b",", b":-", b".", b"(", b")",
+        b"true", b"false", b"l_0", b"n_p", b"Q", b"%", b"\n", b"#", b"\xff"]
+ATOM_LISTS = ["p", "p,q", "q, a1", "l_0", "n_p", "n_l_0", "Q", "x y", ","]
+# programs that the polarity variant translates unfaithfully
+UNFAITHFUL = [CLOSING, "a v true :- not b.\n"]
+
+
+@st.composite
+def _stdin(draw):
+    """Token soup, or a program with a few spans replaced: a generated
+    one, or one on which ``check faithful|strong`` can exit 1."""
+    if draw(st.booleans()):
+        return b" ".join(draw(st.lists(st.sampled_from(SOUP), max_size=12)))
+    text = draw(st.one_of(
+        st.sampled_from(UNFAITHFUL),
+        st.integers(0, 40).map(lambda seed: print_nested(
+            generate_program(GeneratorConfig(seed=seed)))))).encode()
+    for _ in range(draw(st.integers(0, 2))):
+        at, cut = draw(st.integers(0, len(text))), draw(st.integers(0, 3))
+        text = text[:at] + draw(st.sampled_from(SOUP + [b""])) \
+            + text[at + cut:]
+    return text
+
+
+@st.composite
+def _argv(draw):
+    """A subcommand with flags drawn from small ranges, a few of them out
+    of range; --cap is always given, so no enumeration outgrows it."""
+    def flag(name, values):
+        return [name, str(draw(values))] if draw(st.booleans()) else []
+
+    mode = flag("--mode", st.sampled_from(MODES + ("magic",)))
+    cap = ["--cap", str(draw(st.integers(0, 14)))]
+    command = draw(st.sampled_from(["translate", "solve", "check", "stats",
+                                    "gen"]))
+    if command == "translate":
+        return [command, *mode, *draw(st.sampled_from([[], ["--simplify"]]))]
+    if command == "solve":
+        return [command, *cap, *flag("--alphabet", st.sampled_from(ATOM_LISTS)),
+                *flag("--project", st.sampled_from(ATOM_LISTS))]
+    if command == "check":
+        kind = draw(st.sampled_from(["faithful", "strong", "modular", "props"]))
+        return [command, kind, *mode, *cap,
+                *flag("--contexts", st.integers(0, 3)),
+                *flag("--seed", st.integers(-1, 1))]
+    family = flag("--family", st.sampled_from(GROWTH_FAMILIES + ("flat",)))
+    if command == "stats":
+        return [command, *family, *flag("--n-max", st.integers(0, 6)),
+                *flag("--guard", st.integers(0, 300))]
+    return [command, *family, *flag("--seed", st.integers(-1, 3)),
+            *flag("--atoms", st.integers(0, 4)),
+            *flag("--rules", st.integers(0, 4)),
+            *flag("--depth", st.integers(0, 6))]
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(_argv(), _stdin())
+@example(["check", "faithful", "--mode", "polarity", "--cap", "14"],
+         CLOSING.encode())
+def test_exit_codes_keep_their_meaning(args, data):
+    """Whatever the flags and the input, ``main`` exits 0, 1, 2 or 3,
+    never 4, and an exit 2 or 3 ends stderr with its documented line."""
+    out, err = io.StringIO(), io.StringIO()
+    with pytest.MonkeyPatch.context() as mp, \
+            contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        mp.setattr("sys.stdin",
+                   io.TextIOWrapper(io.BytesIO(data), encoding="utf-8"))
+        code = main(args)
+    assert code in (0, 1, 2, 3), (args, data, err.getvalue())
+    last = err.getvalue().splitlines()[-1:] or [""]
+    if code == 2:
+        assert last[0].startswith("error: "), (args, data, last)
+    if code == 3:
+        assert last[0].startswith("resource error: "), (args, data, last)

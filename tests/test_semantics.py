@@ -1,3 +1,4 @@
+import itertools
 import random
 import tracemalloc
 
@@ -278,6 +279,31 @@ def test_enumeration_cap_is_enforced():
     assert answer_sets(pinned, atoms, cap=21) == frozenset({EMPTY})
 
 
+def test_alphabet_must_cover_the_program():
+    """The entry that checks the cap also refuses an alphabet that misses
+    an atom, which every function would otherwise read as false; an
+    alphabet wider than the program's atoms is accepted."""
+    fact = parse("p.")
+
+    def both(program, alphabet):
+        return ht_equivalent(program, program, alphabet)
+
+    for oracle in (classical_models, answer_sets, ht_models, both,
+                   equilibrium_models):
+        with pytest.raises(ValueError, match="from the alphabet: p$"):
+            oracle(fact, EMPTY)
+    with pytest.raises(ValueError, match="from the alphabet: q, r$"):
+        ht_equivalent(parse("r :- q."), parse("p."), P)
+    wide = frozenset({pa, qa})
+    assert classical_models(fact, wide) == {P, wide}
+    assert answer_sets(fact, wide) == equilibrium_models(fact, wide) == {P}
+    assert ht_models(fact, wide) == {HTInterpretation(P, P),
+                                     HTInterpretation(P, wide),
+                                     HTInterpretation(wide, wide)}
+    assert ht_equivalent(fact, parse("p. p :- q."), wide)
+    assert not ht_equivalent(fact, parse("p. :- q."), wide)
+
+
 ABSENT = frozenset(user_atom(f"z{i}") for i in range(2))
 
 
@@ -342,6 +368,34 @@ def test_windows_across_boundaries_match_naive_oracle(monkeypatch):
             assert windowed == unwindowed, (window, program.rules)
             assert windowed == _naive_results(program, alphabet), \
                 (window, program.rules)
+
+
+@pytest.mark.parametrize("ht", [False, True])
+def test_windows_list_every_subset_once_at_the_boundary(ht, monkeypatch):
+    """With windows of 3 atoms, picking 2, 3, 4 or 5 of 6 atoms runs both
+    sides of the k <= _WINDOW fork: each subset of the picked atoms is
+    bit i of exactly one window, numbered base + i by the bits of the
+    picked atoms in order, and an atom's entry has bit i set exactly when
+    the atom is in that subset; an atom not picked reads false."""
+    monkeypatch.setattr(semantics, "_WINDOW", 3)
+    bits = [1 << j for j in range(6)]
+    for k in (2, 3, 4, 5):
+        for picked in itertools.combinations(range(6), k):
+            index = sum(bits[j] for j in picked)
+            numbers = []
+            for base, full, table in semantics._windows(bits, index, ht):
+                assert full == (1 << (1 << min(k, 3))) - 1
+                for j, entry in enumerate(table):
+                    if ht:
+                        # T is the whole picked set, in every subset
+                        assert entry[1] == (full if j in picked else 0)
+                        entry = entry[0]
+                    rank = picked.index(j) if j in picked else None
+                    for i in range(full.bit_length()):
+                        inside = rank is not None and (base + i) >> rank & 1
+                        assert (entry >> i & 1) == inside, (k, picked, j)
+                numbers += [base + i for i in range(full.bit_length())]
+            assert sorted(numbers) == list(range(1 << k)), (k, picked)
 
 
 def test_oracle_memory_is_bounded_by_the_window(corpus):

@@ -415,6 +415,7 @@ def test_stages_carry_their_atoms_forward(corpus):
                 s4 = tr4(s3, table)
                 _check_atoms(s4, s3.alphabet)
                 _check_atoms(s4.union(other), s4.alphabet | other.alphabet)
+        _check_atoms(translate_distributive(program)[0], program.alphabet)
 
 
 def test_translation_walks_no_rules_for_atoms(monkeypatch):
@@ -431,6 +432,7 @@ def test_translation_walks_no_rules_for_atoms(monkeypatch):
     for simplify in (False, True):
         translate_structural(program, simplify=simplify)
         translate_polarity_variant(program, simplify=simplify)
+    translate_distributive(program)
     assert calls == []
     # the counter sees a walk where one is made
     Program(program.rules)

@@ -57,13 +57,19 @@ def test_check_faithful_distributive(corpus):
 
 def test_every_program_of_five_nodes_translates_faithfully():
     """Bounded-exhaustive: all 1,440 one-rule programs over a and b whose
-    head and body have at most 5 nodes together.  The polarity variant
-    is the negative control, so it must fail on some of them."""
+    head and body have at most 5 nodes together, with and without
+    ``--simplify``.  The polarity variant is the negative control, so it
+    must fail on some of them either way."""
     count, found = small_scope.unfaithful(5)
     assert count == 1440
-    assert found["structural"] == found["distributive"] == []
-    assert found["polarity"]
+    assert found["structural"] == found["distributive"] == \
+        found["structural --simplify"] == []
+    assert found["polarity"] and found["polarity --simplify"]
+    # a kept constant needs no label, so this one is caught without
+    # --simplify only
     assert parse("a v true :- not b.") in found["polarity"]
+    assert parse("a v true :- not b.") not in found["polarity --simplify"]
+    assert parse("not (a, b).") in found["polarity --simplify"]
 
 
 def test_check_faithful_rejects_unknown_mode():
