@@ -9,8 +9,10 @@ atoms (``n_<atom>``) standing for negated heads.
 Every node stores its structural hash, its node count and two class
 ranks, so hashing, unequal comparisons, sizes and the syntactic class of
 a rule cost O(1) whatever the size of the tree.  Each rule stores its
-own rank when it is built, so testing a whole program against a class is
-one C-level ``max`` over its rules.
+own rank when it is built, so classifying a whole program is one C-level
+``max`` over its rules; a program keeps its rank once it is computed,
+and keeps its size and its atoms, which the stage that built it passes
+on where it can.
 Every traversal keeps an explicit stack instead of recursing, so a long
 rule body or a deep nesting costs time linear in its size and never
 meets Python's recursion limit.  ``subformulas`` is the one walk over
@@ -393,9 +395,19 @@ class Rule:
 
 @dataclass(frozen=True)
 class Program:
+    """Rules over an alphabet that holds at least their atoms.
+
+    A program keeps its occurring atoms, its size and its class rank
+    once they are known: the atoms and, where its stage can count it,
+    the size are handed over when it is built, and the rest is computed
+    by one walk over its rules the first time it is asked for.
+    """
+
     rules: tuple[Rule, ...] = ()
     alphabet: frozenset[Atom] = frozenset()
     _var: frozenset[Atom] = field(init=False, compare=False, repr=False)
+    _size: int | None = field(init=False, compare=False, repr=False)
+    _rank: int | None = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         rules = tuple(self.rules)
@@ -403,16 +415,23 @@ class Program:
         occurring = _atoms(e for r in rules for e in (r.head, r.body))
         object.__setattr__(self, "_var", occurring)
         object.__setattr__(self, "alphabet", frozenset(self.alphabet) | occurring)
+        object.__setattr__(self, "_size", None)
+        object.__setattr__(self, "_rank", None)
 
     @classmethod
     def _derived(cls, rules: tuple[Rule, ...], alphabet: frozenset[Atom],
-                 occurring: frozenset[Atom]) -> "Program":
+                 occurring: frozenset[Atom], size: int | None = None,
+                 rank: int | None = None) -> "Program":
         """A program whose occurring atoms are already known to be exactly
-        ``occurring``, built without walking its rules."""
+        ``occurring``, a subset of ``alphabet``, and whose size and class
+        rank are ``size`` and ``rank`` where given, built without walking
+        its rules."""
         program = object.__new__(cls)
         object.__setattr__(program, "rules", rules)
+        object.__setattr__(program, "alphabet", alphabet)
         object.__setattr__(program, "_var", occurring)
-        object.__setattr__(program, "alphabet", alphabet | occurring)
+        object.__setattr__(program, "_size", size)
+        object.__setattr__(program, "_rank", rank)
         return program
 
     def var(self) -> frozenset[Atom]:
@@ -431,25 +450,29 @@ class Program:
 _rule_rank = attrgetter("_rank")
 
 
-def _program_rank(rules: tuple[Rule, ...]) -> int:
-    """Value of the most specific class of a program with these rules:
-    one C-level ``max`` over their stored ranks."""
-    return max(map(_rule_rank, rules), default=_BASIC)
+def _program_rank(program: Program) -> int:
+    """Value of the most specific class of the program: one C-level
+    ``max`` over its rules' stored ranks, taken once and kept on it."""
+    rank = program._rank
+    if rank is None:
+        rank = max(map(_rule_rank, program.rules), default=_BASIC)
+        object.__setattr__(program, "_rank", rank)
+    return rank
 
 
-def _first_out_of_class(rules: tuple[Rule, ...], cls: ProgramClass
-                        ) -> int | None:
+def _first_out_of_class(program: Program, cls: ProgramClass) -> int | None:
     """Index of the first rule outside ``cls``, or None; the rules are
     walked one by one only when one of them is outside."""
     limit = cls.value
-    if _program_rank(rules) <= limit:
+    if _program_rank(program) <= limit:
         return None
-    return next(i for i, rule in enumerate(rules) if rule._rank > limit)
+    return next(i for i, rule in enumerate(program.rules)
+                if rule._rank > limit)
 
 
 def classify(program: Program) -> ProgramClass:
     """Most specific syntactic class containing the program."""
-    return _CLASSES[_program_rank(program.rules)]
+    return _CLASSES[_program_rank(program)]
 
 
 def subformulas(roots: Sequence[Expr], ht_atomic: bool = False) -> list[Expr]:
@@ -484,6 +507,11 @@ def subformulas(roots: Sequence[Expr], ht_atomic: bool = False) -> list[Expr]:
 
 
 def program_size(program: Program) -> int:
-    """Total node count over all heads and bodies, plus the rule count."""
-    return sum(r.head._size + r.body._size for r in program.rules) \
-        + len(program.rules)
+    """Total node count over all heads and bodies, plus the rule count:
+    the size the program carries, or one walk over its rules, kept."""
+    size = program._size
+    if size is None:
+        rules = program.rules
+        size = sum(r.head._size + r.body._size for r in rules) + len(rules)
+        object.__setattr__(program, "_size", size)
+    return size

@@ -30,10 +30,12 @@ from .syntax import (
     Var, _first_out_of_class, _leaves, user_atom,
 )
 
-# whitespace and comments, then a lexeme: a token, a character that
-# starts none, or the empty lexeme at the end of the text
+# whitespace, then comments each with the whitespace after it, then a
+# lexeme: a token, a character that starts none, or the empty lexeme at
+# the end of the text.  The skip has no alternation, so a character it
+# passes over is tried against one loop, not against two alternatives.
 _TOKEN_RE = re.compile(
-    r"""(?: [ \t\r\n]+ | %[^\n]* )*
+    r"""[ \t\r\n]* (?: %[^\n]* [ \t\r\n]* )*
         ( :- | [A-Za-z_][A-Za-z0-9_]* | [().,;&|-] | . | \Z )
     """,
     re.VERBOSE,
@@ -110,8 +112,8 @@ def parse(text: str, origin: str = "<string>",
         kind = kinds[i]
         if kind == "eof":
             # every node in ``names`` was placed in a rule
-            return Program._derived(tuple(rules), frozenset(), frozenset(
-                node.atom for node in names.values()))
+            atoms = frozenset(node.atom for node in names.values())
+            return Program._derived(tuple(rules), atoms, atoms)
         if kind == "dot":
             raise _fail("empty rule", text, origin, i)
         in_body = kind == "arrow"
@@ -244,7 +246,7 @@ def format_rule(rule: Rule) -> str:
 
 def _require(program: Program, cls: ProgramClass, stage: str) -> None:
     """Raise ``StageInputError`` at the first rule outside ``cls``."""
-    index = _first_out_of_class(program.rules, cls)
+    index = _first_out_of_class(program, cls)
     if index is not None:
         raise StageInputError(
             f"{stage} expects a program in class {cls.name.lower()}; "
@@ -262,35 +264,46 @@ def _dlv_literal(expr: Expr) -> str:
     if type(expr) is Var:
         return expr.atom.name
     if type(expr) is Not:
-        return "not " + _atomic_text(expr.child)
+        child = expr.child
+        return "not " + (child.atom.name if type(child) is Var
+                         else _atomic_text(child))
     return _atomic_text(expr)
 
 
 def _dlv_literals(expr: Expr, op: type[Expr], sep: str) -> str:
     """The disjuncts of a head (``op`` Or) or the conjuncts of a body
-    (``op`` And), joined by ``sep``: one or two literals directly, more
-    through the flattened list."""
+    (``op`` And), joined by ``sep``: one atom, two atoms, or one or two
+    literals directly, more through the flattened list."""
+    if type(expr) is Var:
+        return expr.atom.name
     if type(expr) is not op:
         return _dlv_literal(expr)
     left, right = expr.left, expr.right
+    if type(left) is Var and type(right) is Var:
+        return left.atom.name + sep + right.atom.name
     if type(left) is op or type(right) is op:
         return sep.join(map(_dlv_literal, _leaves(expr, op)))
     return _dlv_literal(left) + sep + _dlv_literal(right)
 
 
 def _format_dlv_rule(rule: Rule) -> str:
+    """One line of DLV text, its newline included."""
     head, body = rule.head, rule.body
-    # ``a :- b.``, most of what a translation prints, directly
-    if type(head) is Var and type(body) is Var:
-        return f"{head.atom.name} :- {body.atom.name}."
-    if type(body) is Top:
+    # an atom on either side, as in ``a :- b.``, most of what a
+    # translation prints, is written directly
+    if type(body) is Var:
+        body_text = body.atom.name
+    elif type(body) is Top:
         if type(head) is Bot:
-            return ":- true."
-        return _dlv_literals(head, Or, " v ") + "."
-    body_text = _dlv_literals(body, And, ", ")
+            return ":- true.\n"
+        return _dlv_literals(head, Or, " v ") + ".\n"
+    else:
+        body_text = _dlv_literals(body, And, ", ")
+    if type(head) is Var:
+        return f"{head.atom.name} :- {body_text}.\n"
     if type(head) is Bot:
-        return ":- " + body_text + "."
-    return _dlv_literals(head, Or, " v ") + " :- " + body_text + "."
+        return f":- {body_text}.\n"
+    return f"{_dlv_literals(head, Or, ' v ')} :- {body_text}.\n"
 
 
 def print_dlv(program: Program) -> str:
@@ -300,5 +313,4 @@ def print_dlv(program: Program) -> str:
     ``StageInputError`` names the first rule outside that class.
     """
     _require(program, ProgramClass.DISJUNCTIVE, "print_dlv")
-    return "".join([line + "\n"
-                    for line in map(_format_dlv_rule, program.rules)])
+    return "".join(map(_format_dlv_rule, program.rules))

@@ -10,8 +10,13 @@ The structural translation composes four passes:
 
 Each pass first checks that its input is in the class it expects.  Every
 ``Rule`` stores its rank when it is built, so a check is one C-level
-``max`` over the rules; only a failing check walks them, to name the
-first rule outside the class.
+``max`` over the rules, taken at most once per program and kept on it;
+only a failing check walks them, to name the first rule outside the
+class.  Each pass hands its output's size and atoms on with it,
+computed from what it builds: tr2 from a fixed cost per subformula, and
+tr1, tr3 and tr4 from the rules they rebuild.  tr4 also hands on its
+output's class, so the pipeline's check of its output and the printer's
+read it without a scan.
 
 Also provided: the exponential distributivity-based translation, and a
 polarity-optimized labeling variant that is deliberately unsound for
@@ -26,8 +31,9 @@ from typing import Callable
 from .errors import ResourceLimitError
 from .syntax import (
     BOT, TOP, And, Atom, Bot, Expr, Not, Or, Program, ProgramClass, Rule,
-    Top, Var, bar_atom, conjuncts, disjunction, disjuncts, conjunction,
-    is_ht_literal, is_ht_nnf, label_atom, program_size, subformulas,
+    Top, Var, _program_rank, bar_atom, conjuncts, disjunction, disjuncts,
+    conjunction, is_ht_literal, is_ht_nnf, label_atom, program_size,
+    subformulas,
 )
 from .textio import _require
 
@@ -118,13 +124,18 @@ def tr1(program: Program) -> Program:
     """Normalize every head and body into HT-NNF; a rule already in
     HT-NNF is passed on as the same object."""
     nnf = ProgramClass.NNF.value
+    size = program_size(program)
+    rules = []
+    append = rules.append
+    for rule in program.rules:
+        if rule._rank > nnf:
+            old = rule.head._size + rule.body._size
+            rule = Rule(normalize_nnf(rule.head), normalize_nnf(rule.body))
+            size += rule.head._size + rule.body._size - old
+        append(rule)
     # the rewrites keep every atom
-    return Program._derived(
-        tuple(r if r._rank <= nnf
-              else Rule(normalize_nnf(r.head), normalize_nnf(r.body))
-              for r in program.rules),
-        program.alphabet, program.var(),
-    )
+    return Program._derived(tuple(rules), program.alphabet, program.var(),
+                            size)
 
 
 # occurrence positions, as bits
@@ -183,6 +194,10 @@ def tr2(program: Program, table: AtomTable, *, polarity: bool = False,
 
     rules = [Rule(node_of[r.head], node_of[r.body]) for r in program.rules]
     append = rules.append
+    # each rule's size is fixed by its shape: a main rule ``L :- L'`` is
+    # 3, and the rules of a connective's label are 5 for ``L :- a, b``
+    # or ``a v b :- L`` and 3 each for ``a :- L`` or ``L :- a``
+    size = 3 * len(rules)
     intro = elim = True
     for sub, lv in node_of.items():
         if lv is sub:
@@ -196,30 +211,38 @@ def tr2(program: Program, table: AtomTable, *, polarity: bool = False,
             left, right = node_of[sub.left], node_of[sub.right]
             if intro:
                 append(Rule(lv, And(left, right)))
+                size += 5
             if elim:
                 append(Rule(left, lv))
                 append(Rule(right, lv))
+                size += 6
         elif kind is Or:
             left, right = node_of[sub.left], node_of[sub.right]
             # both directions: an Or's elimination comes first
             if elim and not polarity:
                 append(Rule(Or(left, right), lv))
+                size += 5
             if intro:
                 append(Rule(lv, left))
                 append(Rule(lv, right))
+                size += 6
             if elim and polarity:
                 append(Rule(Or(left, right), lv))
+                size += 5
         else:
-            # in HT-NNF, a node that is no connective is an HT-literal
+            # in HT-NNF, a node that is no connective is an HT-literal;
+            # ``L :- φ`` and ``φ :- L`` are |φ| + 2 each
             if intro:
                 append(Rule(lv, sub))
+                size += sub._size + 2
             if elim:
                 append(Rule(sub, lv))
+                size += sub._size + 2
 
     # every atom sits in an HT-literal, which is kept in its intro or
     # elim rule, and every label made here occurs in those rules
-    return Program._derived(tuple(rules), program.alphabet,
-                            program.var() | frozenset(created))
+    return Program._derived(tuple(rules), program.alphabet.union(created),
+                            program.var().union(created), size)
 
 
 def _negate(expr: Expr) -> Expr:
@@ -244,12 +267,14 @@ def tr3(program: Program) -> Program:
     """
     _require(program, ProgramClass.GDLP_HT, "tr3")
     ht = ProgramClass.GDLP_HT.value
+    size = program_size(program)
     out = []
     for rule in program.rules:
         if rule._rank < ht:
             # a rule of literals only: no double negation to move
             out.append(rule)
             continue
+        size -= rule.head._size + rule.body._size
         head_lits = disjuncts(rule.head)
         body_lits = conjuncts(rule.body)
         new_body = list(body_lits)
@@ -268,9 +293,12 @@ def tr3(program: Program) -> Program:
         # neutral elements introduced by moving literals are dropped
         head_parts = [l for l in new_head if not isinstance(l, Bot)]
         body_parts = [l for l in final_body if not isinstance(l, Top)]
-        out.append(Rule(disjunction(head_parts), conjunction(body_parts)))
+        rule = Rule(disjunction(head_parts), conjunction(body_parts))
+        size += rule.head._size + rule.body._size
+        out.append(rule)
     # literals move and constants drop; no atom is lost
-    return Program._derived(tuple(out), program.alphabet, program.var())
+    return Program._derived(tuple(out), program.alphabet, program.var(),
+                            size)
 
 
 def tr4(program: Program, table: AtomTable) -> Program:
@@ -282,6 +310,7 @@ def tr4(program: Program, table: AtomTable) -> Program:
     """
     _require(program, ProgramClass.GENERALIZED_DISJUNCTIVE, "tr4")
     generalized = ProgramClass.GENERALIZED_DISJUNCTIVE.value
+    size = program_size(program)
     # insertion-ordered, so the bar rules follow the first occurrences
     barred: dict[Atom, Var] = {}
     rules = []
@@ -299,14 +328,23 @@ def tr4(program: Program, table: AtomTable) -> Program:
                 new_lits.append(barred[atom])
             else:
                 new_lits.append(lit)
-        rules.append(Rule(disjunction(new_lits), rule.body))
+        head = disjunction(new_lits)
+        size += head._size - rule.head._size
+        rules.append(Rule(head, rule.body))
     for atom, bar in barred.items():
         rules.append(Rule(BOT, And(atom.var, bar)))
         rules.append(Rule(bar, Not(atom.var)))
+    # ``:- p, n_p`` is 5 and ``n_p :- not p`` is 4
+    size += 9 * len(barred)
     # ``:- p, n_p`` keeps each barred atom
-    created = frozenset(bar.atom for bar in barred.values())
-    return Program._derived(tuple(rules), program.alphabet,
-                            program.var() | created)
+    created = [bar.atom for bar in barred.values()]
+    # a rule of rank generalized disjunctive has a negated head atom, so
+    # the rules are the input's unless an atom was barred; then the
+    # disjunctive ``n_p :- not p`` is the most specific class
+    rank = ProgramClass.DISJUNCTIVE.value if barred \
+        else _program_rank(program)
+    return Program._derived(tuple(rules), program.alphabet.union(created),
+                            program.var().union(created), size, rank)
 
 
 def _pipeline(program: Program, table: AtomTable, mode: str,
@@ -318,6 +356,7 @@ def _pipeline(program: Program, table: AtomTable, mode: str,
     labels_before, bars_before = len(table.labels), len(table.bars)
     staged = tr4(tr3(middle(tr1(program))), table)
     _require(staged, ProgramClass.DISJUNCTIVE, "pipeline output")
+    # both sizes are carried, the input's from tr1's one walk
     report = TranslationReport(
         mode=mode,
         input_size=program_size(program),

@@ -1,5 +1,6 @@
 import contextlib
 import io
+import os
 import shlex
 import subprocess
 import sys
@@ -9,6 +10,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from nlp2dlp import GeneratorConfig, generate_program, print_nested
+from nlp2dlp import cli
 from nlp2dlp.cli import build_parser, main
 from nlp2dlp.verify import DEFAULT_VERIFY_CAP, GROWTH_FAMILIES, MODES
 
@@ -184,6 +186,41 @@ def test_check_props(capsys, monkeypatch):
     code, out, _ = call_main(["check", "props"], CLOSING, capsys, monkeypatch)
     assert code == 0
     assert "yes" in out
+
+
+def test_check_props_mismatch_names_a_witness(capsys, monkeypatch):
+    """An equilibrium engine that loses a model makes ``check props``
+    exit 1 and print the lost model as a witness."""
+    engine = cli.equilibrium_models
+
+    def lossy(*args, **kwargs):
+        return frozenset(sorted(engine(*args, **kwargs), key=len)[1:])
+
+    monkeypatch.setattr(cli, "equilibrium_models", lossy)
+    code, out, _ = call_main(["check", "props"], "p v q.\n", capsys,
+                             monkeypatch)
+    assert code == 1
+    lines = out.splitlines()
+    assert "answer sets match equilibrium models: no" in lines
+    assert len([line for line in lines if line.startswith("witness: ")]) == 1
+
+
+def test_translate_output_does_not_depend_on_the_hash_seed():
+    """No set or frozenset is iterated into the output: two hash seeds
+    print the same bytes in every mode."""
+    code, program, _ = run_cli(["gen", "--seed", "1", "--atoms", "40",
+                                "--rules", "500", "--depth", "6"])
+    assert code == 0
+    for mode in ("structural", "polarity", "distributive"):
+        outputs = []
+        for hash_seed in ("1", "2"):
+            proc = subprocess.run(
+                [sys.executable, "-m", "nlp2dlp", "translate", "--mode", mode],
+                input=program.encode(), capture_output=True,
+                env={**os.environ, "PYTHONHASHSEED": hash_seed})
+            assert proc.returncode == 0 and proc.stdout, mode
+            outputs.append(proc.stdout)
+        assert outputs[0] == outputs[1], mode
 
 
 def test_gen_is_deterministic_and_parseable():

@@ -88,7 +88,7 @@ def test_classify_examples():
     # negated head it is already disjunctive, the more specific class
     neg_body = Program((Rule(p, Not(q)),))
     assert _first_out_of_class(
-        neg_body.rules, ProgramClass.GENERALIZED_DISJUNCTIVE) is None
+        neg_body, ProgramClass.GENERALIZED_DISJUNCTIVE) is None
     assert classify(neg_body) is ProgramClass.DISJUNCTIVE
     nested_head = Program((Rule(Or(r, And(p, q)), TOP),))
     assert classify(nested_head) is ProgramClass.NNF
@@ -100,7 +100,7 @@ def test_classify_chain_is_monotone(corpus):
     for program in corpus:
         cls = classify(program)
         for larger in order[order.index(cls):]:
-            assert _first_out_of_class(program.rules, larger) is None
+            assert _first_out_of_class(program, larger) is None
 
 
 def test_classify_ht_literal_heads():

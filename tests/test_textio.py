@@ -1,13 +1,15 @@
 import hashlib
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, seed, settings, strategies as st
 
 from nlp2dlp import (
     BOT, TOP, And, GeneratorConfig, Not, Or, ParseError, Program, Rule,
     StageInputError, Var, bar_atom, classify, format_expr, generate_program,
     parse, print_dlv, print_nested, translate_mode, user_atom,
 )
+from nlp2dlp.textio import _TOKEN_RE
+import reference_tokenizer
 
 p, q, r = Var(user_atom("p")), Var(user_atom("q")), Var(user_atom("r"))
 
@@ -269,3 +271,52 @@ def test_parse_golden_digest(source):
                       allow_internal=True).rules
     digest = hashlib.sha256(repr(rules).encode()).hexdigest()
     assert digest == GOLDEN_PARSE[source]
+
+
+def _lexemes(pattern, text):
+    return [(m.start(1), m[1]) for m in pattern.finditer(text)]
+
+
+@pytest.mark.parametrize("text", [
+    "p :- q.\r\nr :- not s.\r\n",
+    "p\t:-\tq,\t\tr.\t\n\tt.",
+    "\n\np.\n\n\nq.\n\n",
+    "p. % a comment at the end, no newline",
+    "p.%c\n%d\nq.",
+    "%",
+    "% a comment first\np.",
+    "",
+    " \r\n\t",
+], ids=["crlf", "tabs", "blank_lines", "comment_at_end", "comment_lines",
+        "lone_percent", "comment_first", "empty", "whitespace_only"])
+def test_tokenizer_matches_the_reference_on_edge_cases(text):
+    assert _lexemes(_TOKEN_RE, text) == \
+        _lexemes(reference_tokenizer.TOKEN_RE, text)
+
+
+def test_tokenizer_matches_the_reference_on_golden_texts():
+    texts = [_golden_nested_text()] + [
+        _golden_text(mode, simplify) for mode, simplify in sorted(GOLDEN_DLV)]
+    for text in texts:
+        assert _lexemes(_TOKEN_RE, text) == \
+            _lexemes(reference_tokenizer.TOKEN_RE, text)
+
+
+def _programs():
+    return st.lists(st.tuples(_exprs(), _exprs()), min_size=1,
+                    max_size=3).map(
+        lambda rules: Program(tuple(Rule(h, b) for h, b in rules)))
+
+
+@seed(2002)
+@settings(max_examples=200, deadline=None)
+@given(program=_programs())
+def test_dlv_round_trip_property(program):
+    """The DLV text of a translation reads back into a program that
+    prints as the same text, in every mode."""
+    for mode, simplify in [("structural", False), ("structural", True),
+                           ("polarity", False), ("polarity", True),
+                           ("distributive", False)]:
+        translated, _ = translate_mode(program, mode, simplify=simplify)
+        text = print_dlv(translated)
+        assert print_dlv(parse(text, allow_internal=True)) == text

@@ -5,7 +5,7 @@ import sys
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, seed, settings, strategies as st
 
 from nlp2dlp import (
     BOT, TOP, And, AtomTable, GeneratorConfig, Not, Or, Program, ProgramClass,
@@ -514,3 +514,62 @@ def test_compile_runs_in_linear_opcode_count(family):
     slope = sum((x - x_mean) * (y - y_mean) for x, y in zip(xs, ys)) \
         / sum((x - x_mean) ** 2 for x in xs)
     assert slope <= 1.1, (family, round(slope, 3))
+
+
+def _stage_programs(program, max_nodes=translate.DEFAULT_GUARD):
+    """Each program that a stage of the structural, polarity and
+    distributive modes, with and without ``simplify``, takes or makes
+    from ``program``: every stage's input and output, and each mode's
+    result.  A distributive expansion over ``max_nodes`` is left out."""
+    programs = []
+    with pytest.MonkeyPatch.context() as mp:
+        for k in range(1, 5):
+            def recorded(staged, *args, stage=getattr(translate, f"tr{k}"),
+                         **kwargs):
+                out = stage(staged, *args, **kwargs)
+                programs.extend((staged, out))
+                return out
+            mp.setattr(translate, f"tr{k}", recorded)
+        for polarity in (False, True):
+            for simplify in (False, True):
+                programs.append(_structural_pipeline(
+                    program, AtomTable(), polarity=polarity,
+                    simplify=simplify)[0])
+        try:
+            programs.append(translate_distributive(program, max_nodes)[0])
+        except ResourceLimitError:
+            pass
+    return programs
+
+
+def _check_carried(program):
+    """The size, class, alphabet and atoms that ``program`` carries are
+    those of the same rules walked afresh."""
+    fresh = Program(program.rules, program.alphabet)
+    assert program_size(program) == program_size(fresh)
+    assert classify(program) is classify(fresh)
+    assert program.alphabet == fresh.alphabet
+    assert program.var() == fresh.var()
+
+
+def test_stages_carry_what_a_fresh_walk_finds(corpus):
+    for program in corpus:
+        for staged in _stage_programs(program):
+            _check_carried(staged)
+
+
+@pytest.mark.parametrize("family", sorted(LINEAR_FAMILIES))
+def test_stages_carry_what_a_fresh_walk_finds_at_scale(family):
+    for n in LINEAR_SIZES:
+        program = parse(LINEAR_FAMILIES[family](n))
+        for staged in _stage_programs(program, max_nodes=20_000):
+            _check_carried(staged)
+
+
+@seed(2003)
+@settings(max_examples=100, deadline=None)
+@given(rules=st.lists(st.tuples(_exprs(), _exprs()), min_size=1, max_size=3))
+def test_stages_carry_what_a_fresh_walk_finds_property(rules):
+    program = Program(tuple(Rule(head, body) for head, body in rules))
+    for staged in _stage_programs(program):
+        _check_carried(staged)
